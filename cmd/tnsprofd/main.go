@@ -20,7 +20,7 @@
 //	                   reaches n (halve histograms, drop cold rows);
 //	                   0 disables aging (default 32)
 //	-age-floor n       drop aged rows whose count falls below n (default 1)
-//	-rate r            sustained requests/second across all clients
+//	-rate r            sustained requests/second per client
 //	                   (default 50; 0 disables limiting)
 //	-burst b           rate-limiter burst size (default 100)
 //	-shards n          spread the store across n subdirectories keyed by
@@ -54,13 +54,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"tnsr/internal/httpd"
 	"tnsr/internal/profsrv"
 	"tnsr/internal/store"
 )
@@ -72,7 +70,7 @@ func main() {
 	maxBody := flag.Int64("max-body", profsrv.DefaultMaxBody, "maximum upload size in bytes")
 	ageEvery := flag.Int64("age-every", 32, "age an aggregate every N merged runs (0 = never)")
 	ageFloor := flag.Int64("age-floor", profsrv.DefaultAgeFloor, "drop aged rows below this count")
-	rate := flag.Float64("rate", 50, "sustained requests/second (0 = unlimited)")
+	rate := flag.Float64("rate", 50, "sustained requests/second per client (0 = unlimited)")
 	burst := flag.Int("burst", 100, "rate-limiter burst")
 	shards := flag.Int("shards", 0, "spread the store across N subdirectories (0 = single dir)")
 	peers := flag.String("peers", "", "comma-separated sibling tnsprofd base URLs")
@@ -136,37 +134,13 @@ func main() {
 		PeerBreakCooldown: *breakCooldown,
 	})
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	log.Printf("tnsprofd: serving profiles from %s on %s (auth %s, age every %d runs, %d peers)",
 		*dir, *addr, map[bool]string{true: "on", false: "off"}[*token != ""], *ageEvery, len(peerList))
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != http.ErrServerClosed {
-			errc <- err
-		}
-	}()
-
-	// SIGTERM/SIGINT drains: refuse new uploads (503 + Retry-After; every
-	// accepted upload is already durably merged when its 200 goes out),
-	// keep serving reads, and close the listener once in-flight requests
-	// finish.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		log.Fatalf("tnsprofd: %v", err)
-	case s := <-sig:
-		log.Printf("tnsprofd: %v: draining (timeout %v)", s, *drainTimeout)
-	}
-	srv.SetDraining(true)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("tnsprofd: listener shutdown: %v", err)
-	}
-	log.Printf("tnsprofd: drained")
+	// The drain refuses new uploads (503 + Retry-After; every accepted
+	// upload is already durably merged when its 200 goes out) and keeps
+	// serving reads until the listener closes.
+	httpd.Run("tnsprofd", *addr, srv, *drainTimeout, func(context.Context) error {
+		srv.SetDraining(true)
+		return nil
+	})
 }

@@ -44,16 +44,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"tnsr/internal/httpd"
 	"tnsr/internal/store"
 	"tnsr/internal/tcache"
 	"tnsr/internal/xlate"
@@ -108,41 +105,13 @@ func main() {
 		log.Printf("tnsxlated: startup sweep reclaimed %d torn write temporaries", n)
 	}
 
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
 	log.Printf("tnsxlated: serving translations from %s on %s (auth %s, %s scheduling)",
 		*dir, *addr, map[bool]string{true: "on", false: "off"}[*token != ""],
 		map[bool]string{true: "fifo", false: "work-stealing"}[*fifo])
-	errc := make(chan error, 1)
-	go func() {
-		if err := hs.ListenAndServe(); err != http.ErrServerClosed {
-			errc <- err
-		}
-	}()
-
-	// SIGTERM/SIGINT drains: refuse new submissions (503 + Retry-After),
-	// finish in-flight translations into the store, then close the
-	// listener. A client mid-poll either fetches its completed result
-	// before the listener goes, or re-submits to the restarted daemon and
-	// the content-addressed key dedups the replay.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errc:
-		log.Fatalf("tnsxlated: %v", err)
-	case s := <-sig:
-		log.Printf("tnsxlated: %v: draining (timeout %v)", s, *drainTimeout)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Printf("tnsxlated: drain incomplete: %v", err)
-	}
-	if err := hs.Shutdown(ctx); err != nil {
-		log.Printf("tnsxlated: listener shutdown: %v", err)
-	}
-	log.Printf("tnsxlated: drained")
+	// The drain refuses new submissions (503 + Retry-After) and finishes
+	// in-flight translations into the store before the listener closes. A
+	// client mid-poll either fetches its completed result first, or
+	// re-submits to the restarted daemon and the content-addressed key
+	// dedups the replay.
+	httpd.Run("tnsxlated", *addr, srv, *drainTimeout, srv.Shutdown)
 }

@@ -10,23 +10,15 @@ import (
 	"tnsr/internal/retry"
 )
 
-// reqKey labels one requests_total series.
-type reqKey struct {
-	method string
-	code   int
-}
-
-// metrics is the server's Prometheus state: plain counters under one lock
-// (request handling already serializes per fingerprint; the metrics lock
-// is never held across I/O). The exposition goes through the same
+// metrics is the profile daemon's own Prometheus state (the httpd chassis
+// keeps the request and reject counters): plain counters under one lock
+// that is never held across I/O. The exposition goes through the same
 // obs.PromHeader conventions every other tnsr exporter uses.
 type metrics struct {
-	mu       sync.Mutex
-	requests map[reqKey]int64
-	rejects  map[string]int64 // typed reason -> count
-	uploads  int64            // accepted merges
-	served   int64            // aggregates served
-	ages     int64            // aging events applied
+	mu      sync.Mutex
+	uploads int64 // accepted merges
+	served  int64 // aggregates served
+	ages    int64 // aging events applied
 
 	peerMerges    int64            // multi-node merges served
 	peerErrs      map[string]int64 // peer URL -> degraded fetches
@@ -38,15 +30,6 @@ type metrics struct {
 type peerBreakerView struct {
 	peer   string
 	counts retry.BreakerCounts
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		requests:      map[reqKey]int64{},
-		rejects:       map[string]int64{},
-		peerErrs:      map[string]int64{},
-		peerFastFails: map[string]int64{},
-	}
 }
 
 func (m *metrics) peerError(peer string) {
@@ -61,59 +44,18 @@ func (m *metrics) peerFastFail(peer string) {
 	m.mu.Unlock()
 }
 
-func (m *metrics) request(method string, code int) {
-	m.mu.Lock()
-	m.requests[reqKey{method, code}]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) reject(reason string) {
-	m.mu.Lock()
-	m.rejects[reason]++
-	m.mu.Unlock()
-}
-
 func (m *metrics) add(counter *int64) {
 	m.mu.Lock()
 	*counter++
 	m.mu.Unlock()
 }
 
-// write renders the exposition. stored is the current aggregate count and
-// breakers the peer-breaker snapshots (both gathered by the caller so the
-// lock stays I/O-free and never nests with another).
-func (m *metrics) write(w io.Writer, stored int, breakers []peerBreakerView, draining bool) {
+// write renders the daemon's series. stored is the current aggregate count
+// and breakers the peer-breaker snapshots (both gathered by the caller so
+// the lock stays I/O-free and never nests with another).
+func (m *metrics) write(w io.Writer, stored int, breakers []peerBreakerView) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-
-	obs.PromHeader(w, "tnsr_profsrv_requests_total", "counter",
-		"Requests handled, by method and status code.")
-	keys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].method != keys[j].method {
-			return keys[i].method < keys[j].method
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "tnsr_profsrv_requests_total{method=%q,code=\"%d\"} %d\n",
-			obs.PromEscape(k.method), k.code, m.requests[k])
-	}
-
-	obs.PromHeader(w, "tnsr_profsrv_rejects_total", "counter",
-		"Rejected requests, by typed reason.")
-	rkeys := make([]string, 0, len(m.rejects))
-	for k := range m.rejects {
-		rkeys = append(rkeys, k)
-	}
-	sort.Strings(rkeys)
-	for _, k := range rkeys {
-		fmt.Fprintf(w, "tnsr_profsrv_rejects_total{reason=%q} %d\n",
-			obs.PromEscape(k), m.rejects[k])
-	}
 
 	obs.PromHeader(w, "tnsr_profsrv_uploads_total", "counter",
 		"Profiles accepted and merged into an aggregate.")
@@ -173,11 +115,4 @@ func (m *metrics) write(w io.Writer, stored int, breakers []peerBreakerView, dra
 		"Aggregates currently stored, one per codefile fingerprint.")
 	fmt.Fprintf(w, "tnsr_profsrv_stored_profiles %d\n", stored)
 
-	obs.PromHeader(w, "tnsr_profsrv_draining", "gauge",
-		"1 while the server refuses new uploads ahead of shutdown.")
-	d := 0
-	if draining {
-		d = 1
-	}
-	fmt.Fprintf(w, "tnsr_profsrv_draining %d\n", d)
 }

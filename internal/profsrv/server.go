@@ -1,16 +1,15 @@
 package profsrv
 
 import (
-	"crypto/subtle"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"tnsr/internal/httpd"
 	"tnsr/internal/pgo"
 	"tnsr/internal/retry"
 )
@@ -95,34 +94,18 @@ type Config struct {
 // DefaultPeerTimeout bounds a peer aggregate fetch.
 const DefaultPeerTimeout = 2 * time.Second
 
-// Server is the tnsprofd HTTP surface. It is an http.Handler; routing,
-// auth, limits and metrics all live here so the fuzz target can drive the
+// Server is the tnsprofd HTTP surface: the httpd chassis around the
+// profile routes. It is an http.Handler, so the fuzz target can drive the
 // entire request path without a socket.
 type Server struct {
 	cfg Config
+	h   *httpd.Server
 	m   *metrics
 
 	peerHTTP  *http.Client // peer fetches, bounded by PeerTimeout
 	breakerMu sync.Mutex
 	breakers  map[string]*retry.Breaker // peer URL -> circuit breaker, lazily built
-
-	draining atomic.Bool
-
-	bucketMu sync.Mutex
-	buckets  map[string]*bucket
 }
-
-// bucket is one client's token bucket.
-type bucket struct {
-	tokens   float64
-	lastFill time.Time
-}
-
-// maxBuckets bounds the per-client table so a client cycling spoofed
-// addresses cannot grow it without limit; on overflow the stalest (and
-// therefore fullest) buckets are evicted, which can only give clients a
-// fresh full budget, never starve a legitimate one.
-const maxBuckets = 4096
 
 // New builds a Server. The store is required.
 func New(cfg Config) *Server {
@@ -135,19 +118,29 @@ func New(cfg Config) *Server {
 	if cfg.AgeFloor <= 0 {
 		cfg.AgeFloor = DefaultAgeFloor
 	}
-	if cfg.RateBurst <= 0 {
-		cfg.RateBurst = 1
-	}
 	if cfg.PeerTimeout <= 0 {
 		cfg.PeerTimeout = DefaultPeerTimeout
 	}
-	return &Server{
+	s := &Server{
 		cfg:      cfg,
-		m:        newMetrics(),
+		m:        &metrics{peerErrs: map[string]int64{}, peerFastFails: map[string]int64{}},
 		peerHTTP: &http.Client{Timeout: cfg.PeerTimeout},
 		breakers: map[string]*retry.Breaker{},
-		buckets:  map[string]*bucket{},
 	}
+	s.h = httpd.New(httpd.Spec{
+		Metric:     "tnsr_profsrv",
+		Prefix:     profilesPrefix,
+		Noun:       "profile",
+		DrainMsg:   "server is draining; retry another node",
+		DrainHelp:  "1 while the server refuses new uploads ahead of shutdown.",
+		Token:      cfg.Token,
+		MaxBody:    cfg.MaxBody,
+		RatePerSec: cfg.RatePerSec,
+		RateBurst:  cfg.RateBurst,
+		Route:      s.route,
+		Metrics:    s.writeMetrics,
+	})
+	return s
 }
 
 // breakerFor returns (building on first use) the breaker guarding a peer.
@@ -166,95 +159,10 @@ func (s *Server) breakerFor(peer string) *retry.Breaker {
 // Retry-After so resilient clients back off to another node or a later
 // attempt) while reads keep being served — profile data already held must
 // stay available right up to the last request before shutdown.
-func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
+func (s *Server) SetDraining(on bool) { s.h.SetDraining(on) }
 
 // Draining reports whether the server is refusing new uploads.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// clientKey identifies the bucket a request draws from: the remote host
-// joined with the bearer token it presented. Either alone is spoofable in
-// some deployment (shared NAT vs. shared fleet token); together they
-// isolate the common failure mode — one runaway machine hammering the
-// daemon — without any per-request allocation beyond the key itself.
-func clientKey(r *http.Request) string {
-	host := r.RemoteAddr
-	if i := strings.LastIndexByte(host, ':'); i >= 0 {
-		host = host[:i]
-	}
-	tok, _ := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	return host + "|" + tok
-}
-
-// allow draws one token from the request's client bucket.
-func (s *Server) allow(r *http.Request) bool {
-	if s.cfg.RatePerSec <= 0 {
-		return true
-	}
-	key := clientKey(r)
-	now := time.Now()
-	s.bucketMu.Lock()
-	defer s.bucketMu.Unlock()
-	b := s.buckets[key]
-	if b == nil {
-		if len(s.buckets) >= maxBuckets {
-			s.evictStale(now)
-		}
-		b = &bucket{tokens: float64(s.cfg.RateBurst), lastFill: now}
-		s.buckets[key] = b
-	}
-	b.tokens += now.Sub(b.lastFill).Seconds() * s.cfg.RatePerSec
-	if max := float64(s.cfg.RateBurst); b.tokens > max {
-		b.tokens = max
-	}
-	b.lastFill = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// evictStale drops buckets idle long enough to have refilled completely —
-// their state is indistinguishable from a fresh bucket, so dropping them
-// changes no admission decision. If none qualify (burst of distinct keys
-// inside one refill window), the whole table resets; that errs toward
-// admitting, never toward starving.
-func (s *Server) evictStale(now time.Time) {
-	full := time.Duration(float64(s.cfg.RateBurst) / s.cfg.RatePerSec * float64(time.Second))
-	dropped := 0
-	for k, b := range s.buckets {
-		if now.Sub(b.lastFill) >= full {
-			delete(s.buckets, k)
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		s.buckets = map[string]*bucket{}
-	}
-}
-
-// authed checks the bearer token in constant time.
-func (s *Server) authed(r *http.Request) bool {
-	if s.cfg.Token == "" {
-		return true
-	}
-	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(s.cfg.Token)) == 1
-}
-
-// fail writes a plain-text error and records the reject.
-func (s *Server) fail(w http.ResponseWriter, r *http.Request, code int, reason, msg string) {
-	s.m.reject(reason)
-	s.m.request(r.Method, code)
-	http.Error(w, msg, code)
-}
-
-func (s *Server) ok(w http.ResponseWriter, r *http.Request, code int, body []byte, contentType string) {
-	s.m.request(r.Method, code)
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(code)
-	w.Write(body)
-}
+func (s *Server) Draining() bool { return s.h.Draining() }
 
 // ServeHTTP routes:
 //
@@ -264,49 +172,24 @@ func (s *Server) ok(w http.ResponseWriter, r *http.Request, code int, body []byt
 //	GET  /metrics                    Prometheus text exposition (no auth:
 //	                                 scrapers hold no fleet secrets)
 //	GET  /healthz                    liveness probe
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.URL.Path == "/healthz":
-		s.ok(w, r, http.StatusOK, []byte("ok\n"), "text/plain; charset=utf-8")
-		return
-	case r.URL.Path == "/metrics":
-		s.serveMetrics(w, r)
-		return
-	}
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHTTP(w, r) }
 
-	fp, isProfile := strings.CutPrefix(r.URL.Path, profilesPrefix)
-	if !isProfile {
-		s.fail(w, r, http.StatusNotFound, "path", "not found")
-		return
-	}
-	if !s.authed(r) {
-		s.fail(w, r, http.StatusUnauthorized, "auth", "missing or wrong bearer token")
-		return
-	}
-	if !s.allow(r) {
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, r, http.StatusTooManyRequests, "rate", "rate limit exceeded")
-		return
-	}
+// route serves an admitted request under /v1/profiles/.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, fp string) {
 	if !ValidFingerprint(fp) {
-		s.fail(w, r, http.StatusBadRequest, "fingerprint",
+		s.h.Fail(w, r, http.StatusBadRequest, "fingerprint",
 			"fingerprint must be 16 lowercase hex digits")
 		return
 	}
-
 	switch r.Method {
 	case http.MethodGet:
 		s.serveAggregate(w, r, fp)
 	case http.MethodPost:
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", "1")
-			s.fail(w, r, http.StatusServiceUnavailable, "draining",
-				"server is draining; retry another node")
-			return
+		if !s.h.RefuseDraining(w, r) {
+			s.acceptUpload(w, r, fp)
 		}
-		s.acceptUpload(w, r, fp)
 	default:
-		s.fail(w, r, http.StatusMethodNotAllowed, "method", "use GET or POST")
+		s.h.Fail(w, r, http.StatusMethodNotAllowed, "method", "use GET or POST")
 	}
 }
 
@@ -319,7 +202,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveAggregate(w http.ResponseWriter, r *http.Request, fp string) {
 	p, err := s.cfg.Store.Load(fp)
 	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, "store",
+		s.h.Fail(w, r, http.StatusInternalServerError, "store",
 			"aggregate unreadable; refusing to serve it")
 		return
 	}
@@ -327,22 +210,22 @@ func (s *Server) serveAggregate(w http.ResponseWriter, r *http.Request, fp strin
 	if !localOnly && len(s.cfg.Peers) > 0 {
 		merged, err := s.mergePeers(fp, p)
 		if err != nil {
-			s.fail(w, r, http.StatusInternalServerError, "peer-merge", err.Error())
+			s.h.Fail(w, r, http.StatusInternalServerError, "peer-merge", err.Error())
 			return
 		}
 		p = merged
 	}
 	if p == nil {
-		s.fail(w, r, http.StatusNotFound, "absent", "no aggregate for this fingerprint")
+		s.h.Fail(w, r, http.StatusNotFound, "absent", "no aggregate for this fingerprint")
 		return
 	}
 	data, err := p.JSON()
 	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, "store", "aggregate failed validation")
+		s.h.Fail(w, r, http.StatusInternalServerError, "store", "aggregate failed validation")
 		return
 	}
 	s.m.add(&s.m.served)
-	s.ok(w, r, http.StatusOK, data, "application/json")
+	s.h.Respond(w, r, http.StatusOK, data, "application/json")
 }
 
 // mergePeers fetches every peer's local aggregate for fp concurrently and
@@ -424,21 +307,14 @@ func (s *Server) fetchPeer(peer, fp string) (*pgo.Profile, error) {
 // the run count says so, persist atomically, and answer with the new
 // aggregate so the uploader can retranslate against it immediately.
 func (s *Server) acceptUpload(w http.ResponseWriter, r *http.Request, fp string) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, r, http.StatusRequestEntityTooLarge, "size",
-				fmt.Sprintf("profile exceeds %d bytes", s.cfg.MaxBody))
-			return
-		}
-		s.fail(w, r, http.StatusBadRequest, "read", "body read failed")
+	data, ok := s.h.ReadBody(w, r)
+	if !ok {
 		return
 	}
 
 	up, err := pgo.ParseProfile(data)
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, "parse", err.Error())
+		s.h.Fail(w, r, http.StatusBadRequest, "parse", err.Error())
 		return
 	}
 	// The store key is the user-space fingerprint: an upload must carry
@@ -448,12 +324,12 @@ func (s *Server) acceptUpload(w http.ResponseWriter, r *http.Request, fp string)
 	// types the error for the runner).
 	usp := up.Space("user")
 	if usp == nil || usp.Fingerprint == "" {
-		s.fail(w, r, http.StatusBadRequest, "no-fingerprint",
+		s.h.Fail(w, r, http.StatusBadRequest, "no-fingerprint",
 			"profile has no user-space fingerprint")
 		return
 	}
 	if usp.Fingerprint != fp {
-		s.fail(w, r, http.StatusConflict, "stale-fingerprint",
+		s.h.Fail(w, r, http.StatusConflict, "stale-fingerprint",
 			fmt.Sprintf("profile fingerprint %s does not match path %s", usp.Fingerprint, fp))
 		return
 	}
@@ -473,36 +349,31 @@ func (s *Server) acceptUpload(w http.ResponseWriter, r *http.Request, fp string)
 	if err != nil {
 		// Merge refusal (cross-build aggregate, should be unreachable past
 		// the fingerprint gate) or a store failure.
-		s.fail(w, r, http.StatusInternalServerError, "merge", err.Error())
+		s.h.Fail(w, r, http.StatusInternalServerError, "merge", err.Error())
 		return
 	}
 	data, err = merged.JSON()
 	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, "merge", "merged aggregate failed validation")
+		s.h.Fail(w, r, http.StatusInternalServerError, "merge", "merged aggregate failed validation")
 		return
 	}
 	s.m.add(&s.m.uploads)
 	if aged {
 		s.m.add(&s.m.ages)
 	}
-	s.ok(w, r, http.StatusOK, data, "application/json")
+	s.h.Respond(w, r, http.StatusOK, data, "application/json")
 }
 
-func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, r, http.StatusMethodNotAllowed, "method", "use GET")
-		return
-	}
+// writeMetrics writes the profile daemon's own series.
+func (s *Server) writeMetrics(w io.Writer) error {
 	stored, err := s.cfg.Store.List()
 	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, "store", "store unreadable")
-		return
+		return errors.New("store unreadable")
 	}
 	views := make([]peerBreakerView, 0, len(s.cfg.Peers))
 	for _, peer := range s.cfg.Peers {
 		views = append(views, peerBreakerView{peer: peer, counts: s.breakerFor(peer).Counts()})
 	}
-	var b strings.Builder
-	s.m.write(&b, len(stored), views, s.draining.Load())
-	s.ok(w, r, http.StatusOK, []byte(b.String()), "text/plain; version=0.0.4; charset=utf-8")
+	s.m.write(w, len(stored), views)
+	return nil
 }

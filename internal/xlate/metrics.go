@@ -3,51 +3,24 @@ package xlate
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 
 	"tnsr/internal/obs"
 	"tnsr/internal/tcache"
 )
 
-// reqKey labels one requests_total series.
-type reqKey struct {
-	method string
-	code   int
-}
-
-// metrics is the daemon's Prometheus state, following the same
-// plain-counters-under-one-lock conventions as profsrv (the lock is never
-// held across I/O; queue and cache counters are snapshotted by the caller).
+// metrics is the daemon's own Prometheus state (the httpd chassis keeps
+// the request and reject counters): plain counters under one lock that is
+// never held across I/O; queue and cache counters are snapshotted by the
+// caller.
 type metrics struct {
 	mu          sync.Mutex
-	requests    map[reqKey]int64
-	rejects     map[string]int64 // typed reason -> count
-	submissions int64            // accepted submits
-	cachedSubs  int64            // submits answered entirely from the store
-	done        int64            // translations completed
-	failed      int64            // translations failed
-	served      int64            // accelerated codefiles served (GET 200)
-	swept       int64            // torn write temporaries reclaimed at startup
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		requests: map[reqKey]int64{},
-		rejects:  map[string]int64{},
-	}
-}
-
-func (m *metrics) request(method string, code int) {
-	m.mu.Lock()
-	m.requests[reqKey{method, code}]++
-	m.mu.Unlock()
-}
-
-func (m *metrics) reject(reason string) {
-	m.mu.Lock()
-	m.rejects[reason]++
-	m.mu.Unlock()
+	submissions int64 // accepted submits
+	cachedSubs  int64 // submits answered entirely from the store
+	done        int64 // translations completed
+	failed      int64 // translations failed
+	served      int64 // accelerated codefiles served (GET 200)
+	swept       int64 // torn write temporaries reclaimed at startup
 }
 
 func (m *metrics) add(counter *int64) {
@@ -56,40 +29,11 @@ func (m *metrics) add(counter *int64) {
 	m.mu.Unlock()
 }
 
-// write renders the exposition. Queue, cache, and drain state are passed
-// in so the metrics lock never nests with theirs.
-func (m *metrics) write(w io.Writer, qs QueueStats, cs tcache.Stats, storeBytes int64, storeEntries int, draining bool) {
+// write renders the daemon's series. Queue and cache state are passed in
+// so the metrics lock never nests with theirs.
+func (m *metrics) write(w io.Writer, qs QueueStats, cs tcache.Stats, storeBytes int64, storeEntries int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-
-	obs.PromHeader(w, "tnsr_xlated_requests_total", "counter",
-		"Requests handled, by method and status code.")
-	keys := make([]reqKey, 0, len(m.requests))
-	for k := range m.requests {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].method != keys[j].method {
-			return keys[i].method < keys[j].method
-		}
-		return keys[i].code < keys[j].code
-	})
-	for _, k := range keys {
-		fmt.Fprintf(w, "tnsr_xlated_requests_total{method=%q,code=\"%d\"} %d\n",
-			obs.PromEscape(k.method), k.code, m.requests[k])
-	}
-
-	obs.PromHeader(w, "tnsr_xlated_rejects_total", "counter",
-		"Rejected requests, by typed reason.")
-	rkeys := make([]string, 0, len(m.rejects))
-	for k := range m.rejects {
-		rkeys = append(rkeys, k)
-	}
-	sort.Strings(rkeys)
-	for _, k := range rkeys {
-		fmt.Fprintf(w, "tnsr_xlated_rejects_total{reason=%q} %d\n",
-			obs.PromEscape(k), m.rejects[k])
-	}
 
 	obs.PromHeader(w, "tnsr_xlated_submissions_total", "counter",
 		"Codefile submissions accepted.")
@@ -152,11 +96,4 @@ func (m *metrics) write(w io.Writer, qs QueueStats, cs tcache.Stats, storeBytes 
 		"Torn write temporaries reclaimed by the startup sweep.")
 	fmt.Fprintf(w, "tnsr_xlated_swept_total %d\n", m.swept)
 
-	obs.PromHeader(w, "tnsr_xlated_draining", "gauge",
-		"1 while the server refuses new submissions ahead of shutdown.")
-	d := 0
-	if draining {
-		d = 1
-	}
-	fmt.Fprintf(w, "tnsr_xlated_draining %d\n", d)
 }

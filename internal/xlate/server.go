@@ -3,28 +3,20 @@ package xlate
 import (
 	"bytes"
 	"context"
-	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
+	"tnsr/internal/httpd"
 	"tnsr/internal/millicode"
 	"tnsr/internal/tcache"
 )
-
-// readBody reads a request body under the size cap.
-func readBody(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, max))
-}
 
 // Default limits; Config zero values fall back to these.
 const (
@@ -73,20 +65,15 @@ type Config struct {
 // translation queue. Close releases the queue workers.
 type Server struct {
 	cfg Config
+	h   *httpd.Server
 	q   *Queue
 	m   *metrics
 
-	// draining refuses new submissions (503 + Retry-After) while letting
-	// in-flight translations finish and their results be fetched; jobWG
-	// tracks the in-flight translations Shutdown waits for.
-	draining atomic.Bool
-	jobWG    sync.WaitGroup
+	// jobWG tracks the in-flight translations Shutdown waits for.
+	jobWG sync.WaitGroup
 
 	jobMu sync.Mutex
 	jobs  map[string]*jobState // TransKey -> submission state
-
-	bucketMu sync.Mutex
-	buckets  map[string]*bucket
 }
 
 // jobState tracks one submitted translation by its TransKey. It survives
@@ -104,14 +91,6 @@ type jobState struct {
 // remembered code base, which the lookup fallback recovers).
 const maxJobs = 4096
 
-// bucket is one client's token bucket (same policy as profsrv).
-type bucket struct {
-	tokens   float64
-	lastFill time.Time
-}
-
-const maxBuckets = 4096
-
 // New builds a Server and starts its translation queue.
 func New(cfg Config) *Server {
 	if cfg.Cache == nil {
@@ -120,13 +99,10 @@ func New(cfg Config) *Server {
 	if cfg.MaxBody <= 0 {
 		cfg.MaxBody = DefaultMaxBody
 	}
-	if cfg.RateBurst <= 0 {
-		cfg.RateBurst = 1
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	m := newMetrics()
+	m := &metrics{}
 	// Restart recovery: a previous life killed mid-translation leaves torn
 	// write temporaries in the store. They were never visible to any read
 	// path; sweeping reclaims them before traffic arrives. In-flight
@@ -135,13 +111,26 @@ func New(cfg Config) *Server {
 	if n, err := cfg.Cache.Sweep(); err == nil {
 		m.swept = int64(n)
 	}
-	return &Server{
-		cfg:     cfg,
-		q:       NewQueue(cfg.Workers, cfg.FIFO),
-		m:       m,
-		jobs:    map[string]*jobState{},
-		buckets: map[string]*bucket{},
+	s := &Server{
+		cfg:  cfg,
+		q:    NewQueue(cfg.Workers, cfg.FIFO),
+		m:    m,
+		jobs: map[string]*jobState{},
 	}
+	s.h = httpd.New(httpd.Spec{
+		Metric:     "tnsr_xlated",
+		Prefix:     strings.TrimSuffix(xlatePrefix, "/"),
+		Noun:       "submission",
+		DrainMsg:   "server is draining; retry later",
+		DrainHelp:  "1 while the server refuses new submissions ahead of shutdown.",
+		Token:      cfg.Token,
+		MaxBody:    cfg.MaxBody,
+		RatePerSec: cfg.RatePerSec,
+		RateBurst:  cfg.RateBurst,
+		Route:      s.route,
+		Metrics:    s.writeMetrics,
+	})
+	return s
 }
 
 // Close stops the queue workers after in-flight fragments finish.
@@ -150,18 +139,18 @@ func (s *Server) Close() { s.q.Close() }
 // SetDraining flips the drain flag: while draining, new submissions are
 // refused with 503 + Retry-After, but polls and result fetches still serve
 // — a client of an in-flight translation gets its bytes.
-func (s *Server) SetDraining(on bool) { s.draining.Store(on) }
+func (s *Server) SetDraining(on bool) { s.h.SetDraining(on) }
 
 // Draining reports the drain flag (the daemon's signal handler and tests
 // read it; /metrics exposes it as a gauge).
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.h.Draining() }
 
 // Shutdown drains the server: refuse new submissions, wait for in-flight
 // translations to finish (bounded by ctx), then stop the queue workers.
 // After Shutdown returns nil, every accepted submission has a terminal
 // state and its result (when successful) is durably in the store.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.draining.Store(true)
+	s.h.SetDraining(true)
 	done := make(chan struct{})
 	go func() {
 		s.jobWG.Wait()
@@ -188,83 +177,10 @@ func (s *Server) Swept() int64 {
 	return s.m.swept
 }
 
-func (s *Server) authed(r *http.Request) bool {
-	if s.cfg.Token == "" {
-		return true
-	}
-	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	return ok && subtle.ConstantTimeCompare([]byte(got), []byte(s.cfg.Token)) == 1
-}
-
-func clientKey(r *http.Request) string {
-	host := r.RemoteAddr
-	if i := strings.LastIndexByte(host, ':'); i >= 0 {
-		host = host[:i]
-	}
-	tok, _ := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-	return host + "|" + tok
-}
-
-func (s *Server) allow(r *http.Request) bool {
-	if s.cfg.RatePerSec <= 0 {
-		return true
-	}
-	key := clientKey(r)
-	now := time.Now()
-	s.bucketMu.Lock()
-	defer s.bucketMu.Unlock()
-	b := s.buckets[key]
-	if b == nil {
-		if len(s.buckets) >= maxBuckets {
-			s.evictStale(now)
-		}
-		b = &bucket{tokens: float64(s.cfg.RateBurst), lastFill: now}
-		s.buckets[key] = b
-	}
-	b.tokens += now.Sub(b.lastFill).Seconds() * s.cfg.RatePerSec
-	if max := float64(s.cfg.RateBurst); b.tokens > max {
-		b.tokens = max
-	}
-	b.lastFill = now
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-func (s *Server) evictStale(now time.Time) {
-	full := time.Duration(float64(s.cfg.RateBurst) / s.cfg.RatePerSec * float64(time.Second))
-	dropped := 0
-	for k, b := range s.buckets {
-		if now.Sub(b.lastFill) >= full {
-			delete(s.buckets, k)
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		s.buckets = map[string]*bucket{}
-	}
-}
-
-// fail writes a plain-text error and records the typed reject.
-func (s *Server) fail(w http.ResponseWriter, r *http.Request, code int, reason, msg string) {
-	s.m.reject(reason)
-	s.m.request(r.Method, code)
-	http.Error(w, msg, code)
-}
-
-func (s *Server) respond(w http.ResponseWriter, r *http.Request, code int, body []byte, contentType string) {
-	s.m.request(r.Method, code)
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(code)
-	w.Write(body)
-}
-
 func (s *Server) status(w http.ResponseWriter, r *http.Request, code int, st Status) {
 	st.Schema = StatusSchema
 	data, _ := json.Marshal(st)
-	s.respond(w, r, code, append(data, '\n'), "application/json")
+	s.h.Respond(w, r, code, append(data, '\n'), "application/json")
 }
 
 // ServeHTTP routes:
@@ -277,40 +193,19 @@ func (s *Server) status(w http.ResponseWriter, r *http.Request, code int, st Sta
 //	                      translation failed, 404 for an unknown key
 //	GET  /metrics         Prometheus text exposition (no auth)
 //	GET  /healthz         liveness probe
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.URL.Path == "/healthz":
-		s.respond(w, r, http.StatusOK, []byte("ok\n"), "text/plain; charset=utf-8")
-		return
-	case r.URL.Path == "/metrics":
-		s.serveMetrics(w, r)
-		return
-	}
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHTTP(w, r) }
 
-	rest, isXlate := strings.CutPrefix(r.URL.Path, strings.TrimSuffix(xlatePrefix, "/"))
-	if !isXlate {
-		s.fail(w, r, http.StatusNotFound, "path", "not found")
-		return
-	}
-	if !s.authed(r) {
-		s.fail(w, r, http.StatusUnauthorized, "auth", "missing or wrong bearer token")
-		return
-	}
-	if !s.allow(r) {
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, r, http.StatusTooManyRequests, "rate", "rate limit exceeded")
-		return
-	}
-
+// route serves an admitted request; rest is its path after /v1/xlate.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, rest string) {
 	switch {
 	case r.Method == http.MethodPost && (rest == "" || rest == "/"):
 		s.acceptSubmit(w, r)
 	case r.Method == http.MethodGet && strings.HasPrefix(rest, "/"):
 		s.serveResult(w, r, rest[1:])
 	case r.Method == http.MethodPost:
-		s.fail(w, r, http.StatusBadRequest, "path", "POST to /v1/xlate, GET /v1/xlate/{key}")
+		s.h.Fail(w, r, http.StatusBadRequest, "path", "POST to /v1/xlate, GET /v1/xlate/{key}")
 	default:
-		s.fail(w, r, http.StatusMethodNotAllowed, "method", "use POST /v1/xlate or GET /v1/xlate/{key}")
+		s.h.Fail(w, r, http.StatusMethodNotAllowed, "method", "use POST /v1/xlate or GET /v1/xlate/{key}")
 	}
 }
 
@@ -318,49 +213,40 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // and answers from the store when possible; otherwise the translation is
 // queued on the shared pool and the client polls the key.
 func (s *Server) acceptSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		// Draining: no new work. In-flight jobs finish and remain
-		// fetchable; the typed 503 tells resilient clients to go
-		// elsewhere (or retry after the restart).
-		w.Header().Set("Retry-After", "1")
-		s.fail(w, r, http.StatusServiceUnavailable, "draining", "server is draining; retry later")
+	// Draining: no new work. In-flight jobs finish and remain fetchable;
+	// the typed 503 tells resilient clients to go elsewhere (or retry
+	// after the restart).
+	if s.h.RefuseDraining(w, r) {
 		return
 	}
-	body, err := readBody(w, r, s.cfg.MaxBody)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.fail(w, r, http.StatusRequestEntityTooLarge, "size",
-				fmt.Sprintf("submission exceeds %d bytes", s.cfg.MaxBody))
-			return
-		}
-		s.fail(w, r, http.StatusBadRequest, "read", "body read failed")
+	body, ok := s.h.ReadBody(w, r)
+	if !ok {
 		return
 	}
 	var req SubmitRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		s.fail(w, r, http.StatusBadRequest, "parse", err.Error())
+		s.h.Fail(w, r, http.StatusBadRequest, "parse", err.Error())
 		return
 	}
 	if req.Schema != SubmitSchema {
-		s.fail(w, r, http.StatusBadRequest, "schema",
+		s.h.Fail(w, r, http.StatusBadRequest, "schema",
 			fmt.Sprintf("schema must be %q", SubmitSchema))
 		return
 	}
 	opts, err := req.DecodeOptions()
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, "options", err.Error())
+		s.h.Fail(w, r, http.StatusBadRequest, "options", err.Error())
 		return
 	}
 	f, err := codefile.Read(bytes.NewReader(req.Codefile))
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, "codefile", err.Error())
+		s.h.Fail(w, r, http.StatusBadRequest, "codefile", err.Error())
 		return
 	}
 	fp := f.Fingerprint()
 	key, err := opts.TransKey(fp)
 	if err != nil {
-		s.fail(w, r, http.StatusBadRequest, "options", err.Error())
+		s.h.Fail(w, r, http.StatusBadRequest, "options", err.Error())
 		return
 	}
 	base := opts.CodeBase
@@ -452,7 +338,7 @@ func (s *Server) runJob(key string, j *jobState, f *codefile.File, opts core.Opt
 // the way out of the store.
 func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key string) {
 	if !validKey(key) {
-		s.fail(w, r, http.StatusBadRequest, "key", "key must be 16 lowercase hex digits")
+		s.h.Fail(w, r, http.StatusBadRequest, "key", "key must be 16 lowercase hex digits")
 		return
 	}
 	s.jobMu.Lock()
@@ -484,11 +370,11 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, key string)
 	for _, base := range bases {
 		if data, ok := s.cfg.Cache.GetVerified(key, 0, base); ok {
 			s.m.add(&s.m.served)
-			s.respond(w, r, http.StatusOK, data, "application/octet-stream")
+			s.h.Respond(w, r, http.StatusOK, data, "application/octet-stream")
 			return
 		}
 	}
-	s.fail(w, r, http.StatusNotFound, "absent", "no accelerated codefile under this key")
+	s.h.Fail(w, r, http.StatusNotFound, "absent", "no accelerated codefile under this key")
 	return
 }
 
@@ -506,13 +392,9 @@ func validKey(key string) bool {
 	return true
 }
 
-func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		s.fail(w, r, http.StatusMethodNotAllowed, "method", "use GET")
-		return
-	}
+// writeMetrics writes the translation daemon's own series.
+func (s *Server) writeMetrics(w io.Writer) error {
 	storeBytes, entries := s.cfg.Cache.SizeBytes()
-	var b strings.Builder
-	s.m.write(&b, s.q.Stats(), s.cfg.Cache.Stats(), storeBytes, entries, s.draining.Load())
-	s.respond(w, r, http.StatusOK, []byte(b.String()), "text/plain; version=0.0.4; charset=utf-8")
+	s.m.write(w, s.q.Stats(), s.cfg.Cache.Stats(), storeBytes, entries)
+	return nil
 }
