@@ -21,6 +21,7 @@
 package backendtest
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -46,6 +47,7 @@ func Contract(t *testing.T, be backend.Backend, defuse DefUse) {
 	t.Run("exec", func(t *testing.T) { testExec(t, be) })
 	t.Run("breakpoints", func(t *testing.T) { testBreakpoints(t, be) })
 	t.Run("traps", func(t *testing.T) { testTraps(t, be) })
+	t.Run("undo", func(t *testing.T) { testUndo(t, be) })
 	if defuse != nil {
 		t.Run("defuse-vs-sim", func(t *testing.T) { testDefUseVsSim(t, be, defuse) })
 	}
@@ -431,6 +433,73 @@ func testTraps(t *testing.T, be backend.Backend) {
 				t.Errorf("TrapPC = %d, want %d", s.TrapPC, want)
 			}
 		})
+	}
+}
+
+// testUndo holds the episode undo to its contract: after Checkpoint,
+// simulated stores of every width — on both sides of a page edge, and into
+// a page the host wrote after the checkpoint — are all undone by Restore,
+// leaving memory byte-identical to its state before the first simulated
+// store. The host write, made before any store to its page, survives.
+func testUndo(t *testing.T, be backend.Backend) {
+	z := uint8(backend.RegZero)
+	t0, t1 := uint8(backend.RegT0), uint8(backend.RegT0+1)
+	st := func(op backend.Op, base uint8, off int32) backend.Inst {
+		return backend.Inst{Op: op, Rt: t0, Rs: base, Imm: off}
+	}
+	p := newProg()
+	p.ins = []backend.Inst{
+		{Op: backend.LUI, Rt: t0, Imm: 0x1234},
+		{Op: backend.ORI, Rt: t0, Rs: t0, Imm: 0x5678},
+		{Op: backend.ORI, Rt: t1, Rs: z, Imm: 0xFF00},
+		st(backend.SB, z, 0xFF),   // last byte of page 0
+		st(backend.SH, z, 0xFE),   // again page 0: saved once
+		st(backend.SW, z, 0x100),  // first word of page 1
+		st(backend.SH, z, 0x1FE),  // last halfword of page 1
+		st(backend.SB, z, 0x301),  // page 3, after the host's write
+		st(backend.SW, t1, 0xFC),  // last word of the memory
+		st(backend.SW, z, 0x1000), // page 16
+		{Op: backend.BREAK, Code: 9},
+	}
+	enc := p.encode(t, be)
+	sim := be.NewSim(enc.Code, 0x10000)
+	s := sim.Core()
+	for i := range s.Mem {
+		s.Mem[i] = byte(i*7 + 3)
+	}
+	s.Checkpoint()
+	s.WriteHalf(0x300, 0xBEEF)
+	want := append([]byte(nil), s.Mem...)
+
+	sim.ResumeAt(0)
+	if err := sim.Run(1000); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if s.Trap != backend.TrapNone || s.BreakCode != 9 {
+		t.Fatalf("trap=%d break=%d, want a clean BREAK 9", s.Trap, s.BreakCode)
+	}
+	for addr, v := range map[uint32]uint16{0xFE: 0x5678, 0x100: 0x1234, 0x1FE: 0x5678,
+		0x300: 0xBE78, 0xFFFE: 0x5678, 0x1002: 0x5678} {
+		if got := s.ReadHalf(addr); got != v {
+			t.Errorf("before Restore: mem[%#x] = %#04x, want %#04x", addr, got, v)
+		}
+	}
+	s.Restore()
+	if !bytes.Equal(s.Mem, want) {
+		for i := range want {
+			if s.Mem[i] != want[i] {
+				t.Fatalf("after Restore: mem[%#x] = %#02x, want %#02x", i, s.Mem[i], want[i])
+			}
+		}
+	}
+	// Restore ends the episode: a re-run's stores stay.
+	sim.ResumeAt(0)
+	if err := sim.Run(1000); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	s.Restore()
+	if got := s.ReadHalf(0x100); got != 0x1234 {
+		t.Errorf("store outside an episode undone: mem[0x100] = %#04x", got)
 	}
 }
 

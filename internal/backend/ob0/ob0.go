@@ -1,16 +1,9 @@
 package ob0
 
-import (
-	"tnsr/internal/backend"
-	"tnsr/internal/millicode"
-)
+import "tnsr/internal/backend"
 
 // BackendID is the codefile identity byte of the ob0 target.
 const BackendID uint8 = 1
-
-// codeWindow maps the code space read-only into data addresses; the base
-// is part of the cross-backend runtime contract.
-const codeWindow = millicode.CodeWindow
 
 // B implements backend.Backend for the ob0 target. It is stateless — the
 // simple timing model has no configuration.

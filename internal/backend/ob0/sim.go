@@ -47,12 +47,6 @@ func (s *Sim) ResumeAt(pc uint32) {
 	s.skipBP = true
 }
 
-func (s *Sim) trap(code int) {
-	s.Trap = code
-	s.TrapPC = s.PC
-	s.Stopped = true
-}
-
 // Run executes instructions until a BRK, a trap, or the instruction budget
 // is exhausted (0 means unlimited). It returns an error only on runaway
 // execution past the budget.
@@ -76,7 +70,7 @@ func (s *Sim) step() {
 	}
 	s.skipBP = false
 	if int(pc) >= len(s.Code) {
-		s.trap(backend.TrapBadInstr)
+		s.Raise(backend.TrapBadInstr)
 		return
 	}
 	in := Decode(s.Code[pc])
@@ -95,7 +89,7 @@ func (s *Sim) step() {
 		a, b := R[in.B], R[in.C]
 		sum := a + b
 		if (a^sum)&(b^sum)&0x80000000 != 0 {
-			s.trap(backend.TrapOverflow)
+			s.Raise(backend.TrapOverflow)
 			return
 		}
 		R[in.A] = sum
@@ -105,7 +99,7 @@ func (s *Sim) step() {
 		a, b := R[in.B], R[in.C]
 		diff := a - b
 		if (a^b)&(a^diff)&0x80000000 != 0 {
-			s.trap(backend.TrapOverflow)
+			s.Raise(backend.TrapOverflow)
 			return
 		}
 		R[in.A] = diff
@@ -169,7 +163,7 @@ func (s *Sim) step() {
 		a, b := R[in.B], uint32(in.Imm)
 		sum := a + b
 		if (a^sum)&(b^sum)&0x80000000 != 0 {
-			s.trap(backend.TrapOverflow)
+			s.Raise(backend.TrapOverflow)
 			return
 		}
 		R[in.A] = sum
@@ -248,7 +242,7 @@ func (s *Sim) step() {
 		s.Stopped = true
 		return // PC stays at the BRK for the host to inspect
 	default:
-		s.trap(backend.TrapBadInstr)
+		s.Raise(backend.TrapBadInstr)
 		return
 	}
 	R[0] = 0
@@ -272,47 +266,22 @@ func (s *Sim) branchTarget(in Instr) uint32 {
 }
 
 func (s *Sim) load(in Instr) bool {
-	addr := s.Reg[in.B] + uint32(in.Imm)
-	var v uint32
+	var size uint32 = 4
 	switch in.Op {
 	case LDB, LDBU:
-		if int(addr) >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])
-		if in.Op == LDB {
-			v = uint32(int32(int8(v)))
-		}
+		size = 1
 	case LDH, LDHU:
-		if addr&1 != 0 || int(addr)+1 >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])<<8 | uint32(s.Mem[addr+1])
-		if in.Op == LDH {
-			v = uint32(int32(int16(v)))
-		}
-	case LDW:
-		// The code window maps the code space read-only into data
-		// addresses, same base as every backend (translated CASE tables
-		// live in the code stream).
-		if addr >= codeWindow {
-			idx := (addr - codeWindow) >> 2
-			if addr&3 != 0 || int(idx) >= len(s.Code) {
-				s.trap(backend.TrapAddress)
-				return false
-			}
-			s.Reg[in.A] = s.Code[idx]
-			s.Cycles++
-			return true
-		}
-		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])<<24 | uint32(s.Mem[addr+1])<<16 |
-			uint32(s.Mem[addr+2])<<8 | uint32(s.Mem[addr+3])
+		size = 2
+	}
+	v, ok := s.Load(s.Reg[in.B]+uint32(in.Imm), size)
+	if !ok {
+		return false
+	}
+	switch in.Op {
+	case LDB:
+		v = uint32(int32(int8(v)))
+	case LDH:
+		v = uint32(int32(int16(v)))
 	}
 	s.Reg[in.A] = v
 	s.Cycles++
@@ -320,44 +289,15 @@ func (s *Sim) load(in Instr) bool {
 }
 
 func (s *Sim) store(in Instr) bool {
-	addr := s.Reg[in.B] + uint32(in.Imm)
-	if s.ProtectedHi > s.ProtectedLo && addr >= s.ProtectedLo && addr < s.ProtectedHi {
-		s.trap(backend.TrapProtected)
-		return false
-	}
-	v := s.Reg[in.A]
+	var size uint32 = 4
 	switch in.Op {
 	case STB:
-		if int(addr) >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v)
-		if s.StoreTrace != nil {
-			// Report the containing halfword so byte stores compare
-			// against the interpreter's word-level trace.
-			ha := addr &^ 1
-			s.StoreTrace(ha, uint16(s.Mem[ha])<<8|uint16(s.Mem[ha+1]))
-		}
+		size = 1
 	case STH:
-		if addr&1 != 0 || int(addr)+1 >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v >> 8)
-		s.Mem[addr+1] = byte(v)
-		if s.StoreTrace != nil {
-			s.StoreTrace(addr, uint16(v))
-		}
-	case STW:
-		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
-			s.trap(backend.TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v >> 24)
-		s.Mem[addr+1] = byte(v >> 16)
-		s.Mem[addr+2] = byte(v >> 8)
-		s.Mem[addr+3] = byte(v)
+		size = 2
+	}
+	if !s.Store(s.Reg[in.B]+uint32(in.Imm), s.Reg[in.A], size) {
+		return false
 	}
 	s.Cycles++
 	return true

@@ -14,6 +14,7 @@ import (
 	"tnsr/internal/obs"
 	"tnsr/internal/risc"
 	"tnsr/internal/talc"
+	"tnsr/internal/tns"
 	"tnsr/internal/workloads"
 	"tnsr/internal/xrun"
 )
@@ -93,10 +94,10 @@ func diffBackends(t *testing.T, lvl codefile.AccelLevel, be backend.Backend,
 	if m.Trap != 0 {
 		return // memory at trap time may legitimately differ midway
 	}
-	for i := range m.Mem {
-		if m.Mem[i] != r.Int.Mem[i] {
+	for i := 0; i < tns.DataWords; i++ {
+		if m.Word(uint16(i)) != r.Int.Word(uint16(i)) {
 			t.Fatalf("memory differs at word %d: interp=%04x accel=%04x",
-				i, m.Mem[i], r.Int.Mem[i])
+				i, m.Word(uint16(i)), r.Int.Word(uint16(i)))
 		}
 	}
 }

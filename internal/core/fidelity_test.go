@@ -9,6 +9,7 @@ import (
 	"tnsr/internal/core"
 	"tnsr/internal/interp"
 	"tnsr/internal/risc"
+	"tnsr/internal/tns"
 	"tnsr/internal/tnsasm"
 	"tnsr/internal/xrun"
 )
@@ -91,10 +92,10 @@ func compareRuns(t *testing.T, m *interp.Machine, r *xrun.Runner) {
 	if m.Trap != 0 {
 		return // memory at trap time may legitimately differ midway
 	}
-	for i := range m.Mem {
-		if m.Mem[i] != r.Int.Mem[i] {
+	for i := 0; i < tns.DataWords; i++ {
+		if m.Word(uint16(i)) != r.Int.Word(uint16(i)) {
 			t.Fatalf("memory differs at word %d: interp=%04x accel=%04x",
-				i, m.Mem[i], r.Int.Mem[i])
+				i, m.Word(uint16(i)), r.Int.Word(uint16(i)))
 		}
 	}
 }
@@ -923,8 +924,8 @@ func TestScaleLargeProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareRuns(t, m, r)
-	if m.Mem[0] != 121 {
-		t.Errorf("chain result = %d, want 121", m.Mem[0])
+	if m.Word(0) != 121 {
+		t.Errorf("chain result = %d, want 121", m.Word(0))
 	}
 }
 

@@ -103,14 +103,14 @@ func TestReturnSizeGuessCorpus(t *testing.T) {
 	}
 	// Every consumption still executed correctly (fallback repaired the
 	// wrong guesses): the stores landed.
-	if r.Int.Mem[2] != 7 || r.Int.Mem[6] != 7 {
-		t.Errorf("one-word results not stored: %v", r.Int.Mem[:10])
+	if r.Int.Word(2) != 7 || r.Int.Word(6) != 7 {
+		t.Errorf("one-word results not stored: %v", words(r.Int, 10))
 	}
-	if r.Int.Mem[4] != 1 || r.Int.Mem[5] != 2 {
-		t.Errorf("two-word result not stored: %v", r.Int.Mem[:10])
+	if r.Int.Word(4) != 1 || r.Int.Word(5) != 2 {
+		t.Errorf("two-word result not stored: %v", words(r.Int, 10))
 	}
-	if r.Int.Mem[8] != 2 || r.Int.Mem[9] != 1 {
-		t.Errorf("mis-guessed site not repaired: %v", r.Int.Mem[:10])
+	if r.Int.Word(8) != 2 || r.Int.Word(9) != 1 {
+		t.Errorf("mis-guessed site not repaired: %v", words(r.Int, 10))
 	}
 }
 

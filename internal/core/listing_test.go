@@ -78,7 +78,7 @@ func TestTranslationListing(t *testing.T) {
 	if err := r.Run(1000000); err != nil {
 		t.Fatal(err)
 	}
-	if m.Mem[0] != r.Int.Mem[0] || m.Mem[0] != 2 {
-		t.Errorf("fib(3): interp=%d accel=%d want 2", m.Mem[0], r.Int.Mem[0])
+	if m.Word(0) != r.Int.Word(0) || m.Word(0) != 2 {
+		t.Errorf("fib(3): interp=%d accel=%d want 2", m.Word(0), r.Int.Word(0))
 	}
 }

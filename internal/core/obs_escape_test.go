@@ -75,8 +75,8 @@ ENDPROC
 	opts := core.DefaultOptions()
 	opts.SelectProcs = map[string]bool{"main": true}
 	rec, r := runObserved(t, src, opts)
-	if r.Int.Mem[0] != 3 || r.Int.Mem[1] != 1 {
-		t.Fatalf("wrong results: %v", r.Int.Mem[:2])
+	if r.Int.Word(0) != 3 || r.Int.Word(1) != 1 {
+		t.Fatalf("wrong results: %v", words(r.Int, 2))
 	}
 	if r.Interludes == 0 {
 		t.Fatal("expected an interlude at the untranslated callee")

@@ -6,6 +6,7 @@ import (
 
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
+	"tnsr/internal/interp"
 	"tnsr/internal/risc"
 	"tnsr/internal/tnsasm"
 	"tnsr/internal/xrun"
@@ -56,8 +57,8 @@ func TestXCALHintSuppressesCheckAndFallback(t *testing.T) {
 	if r1.Interludes == 0 {
 		t.Error("wrong guess should have caused an interpreter interlude")
 	}
-	if r1.Int.Mem[0] != 2 || r1.Int.Mem[1] != 4 {
-		t.Errorf("results wrong despite fallback: %v", r1.Int.Mem[:2])
+	if r1.Int.Word(0) != 2 || r1.Int.Word(1) != 4 {
+		t.Errorf("results wrong despite fallback: %v", words(r1.Int, 2))
 	}
 
 	// With the hint: no check, no fallback, same results.
@@ -77,8 +78,8 @@ func TestXCALHintSuppressesCheckAndFallback(t *testing.T) {
 	if r2.Interludes != 0 {
 		t.Errorf("hinted translation fell back %d times", r2.Interludes)
 	}
-	if r2.Int.Mem[0] != 2 || r2.Int.Mem[1] != 4 {
-		t.Errorf("hinted results: %v", r2.Int.Mem[:2])
+	if r2.Int.Word(0) != 2 || r2.Int.Word(1) != 4 {
+		t.Errorf("hinted results: %v", words(r2.Int, 2))
 	}
 }
 
@@ -111,8 +112,8 @@ ENDPROC
 	if err := r.Run(100000); err != nil {
 		t.Fatal(err)
 	}
-	if r.Int.Mem[0] != 8 || r.Int.Mem[1] != 9 {
-		t.Errorf("results: %v", r.Int.Mem[:2])
+	if r.Int.Word(0) != 8 || r.Int.Word(1) != 9 {
+		t.Errorf("results: %v", words(r.Int, 2))
 	}
 	if r.Interludes != 0 {
 		t.Errorf("hinted program fell back %d times", r.Interludes)
@@ -163,8 +164,8 @@ ENDPROC
 	if err := r.Run(100000); err != nil {
 		t.Fatal(err)
 	}
-	if r.Int.Mem[0] != 7 {
-		t.Errorf("twice(5) = %d, want 7", r.Int.Mem[0])
+	if r.Int.Word(0) != 7 {
+		t.Errorf("twice(5) = %d, want 7", r.Int.Word(0))
 	}
 	if r.Interludes != 0 {
 		t.Errorf("%d interludes", r.Interludes)
@@ -221,4 +222,13 @@ func TestAnalyzeReport(t *testing.T) {
 	if rep.Instrs == 0 {
 		t.Error("instruction count missing")
 	}
+}
+
+// words returns the first n data words of m, for failure messages.
+func words(m *interp.Machine, n int) []uint16 {
+	w := make([]uint16, n)
+	for i := range w {
+		w[i] = m.Word(uint16(i))
+	}
+	return w
 }

@@ -57,8 +57,8 @@ func TestProfileCorrectsGuessedResultSize(t *testing.T) {
 	if r2.Interludes != 0 {
 		t.Errorf("profiled translation still fell back %d times", r2.Interludes)
 	}
-	if r2.Int.Mem[0] != 2 || r2.Int.Mem[1] != 4 {
-		t.Errorf("profiled results: %v", r2.Int.Mem[:2])
+	if r2.Int.Word(0) != 2 || r2.Int.Word(1) != 4 {
+		t.Errorf("profiled results: %v", words(r2.Int, 2))
 	}
 }
 
@@ -113,8 +113,8 @@ func TestProfileDevirtualizesXCAL(t *testing.T) {
 	if r.Interludes != 0 {
 		t.Errorf("devirtualized run fell back %d times", r.Interludes)
 	}
-	if r.Int.Mem[0] != 2 || r.Int.Mem[1] != 4 {
-		t.Errorf("devirtualized results: %v", r.Int.Mem[:2])
+	if r.Int.Word(0) != 2 || r.Int.Word(1) != 4 {
+		t.Errorf("devirtualized results: %v", words(r.Int, 2))
 	}
 }
 

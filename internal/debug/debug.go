@@ -214,9 +214,9 @@ func (d *Debugger) ReadVar(name string) (int32, error) {
 		return 0, err
 	}
 	addr := uint16(int(base) + int(sym.Addr))
-	w := d.dataWord(addr)
+	w := d.R.Int.Word(addr)
 	if sym.Words == 2 {
-		return int32(uint32(w)<<16 | uint32(d.dataWord(addr+1))), nil
+		return int32(uint32(w)<<16 | uint32(d.R.Int.Word(addr+1))), nil
 	}
 	return int32(int16(w)), nil
 }
@@ -231,11 +231,11 @@ func (d *Debugger) WriteVar(name string, v int32) error {
 	}
 	addr := uint16(int(base) + int(sym.Addr))
 	if sym.Words == 2 {
-		d.setDataWord(addr, uint16(uint32(v)>>16))
-		d.setDataWord(addr+1, uint16(v))
+		d.R.Int.SetWord(addr, uint16(uint32(v)>>16))
+		d.R.Int.SetWord(addr+1, uint16(v))
 		return nil
 	}
-	d.setDataWord(addr, uint16(v))
+	d.R.Int.SetWord(addr, uint16(v))
 	return nil
 }
 
@@ -265,21 +265,6 @@ func (d *Debugger) currentL() uint16 {
 		return uint16(d.R.Sim.Reg[backend.RegL] / 2)
 	}
 	return d.R.Int.L
-}
-
-func (d *Debugger) dataWord(addr uint16) uint16 {
-	if d.R.InRISCMode() {
-		return d.R.Sim.ReadHalf(uint32(addr) * 2)
-	}
-	return d.R.Int.Mem[addr]
-}
-
-func (d *Debugger) setDataWord(addr uint16, v uint16) {
-	if d.R.InRISCMode() {
-		d.R.Sim.WriteHalf(uint32(addr)*2, v)
-		return
-	}
-	d.R.Int.Mem[addr] = v
 }
 
 // DisassembleTNS renders the CISC view around an address.

@@ -98,7 +98,7 @@ ENDPROC
 			if err := m.Run(100); err != nil || m.Trap != 0 {
 				return false
 			}
-			return int16(m.Mem[0]) == want
+			return int16(m.Word(0)) == want
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%s: %v", op.mnem, err)

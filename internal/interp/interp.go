@@ -86,8 +86,9 @@ type Machine struct {
 	CC   int8
 	K, V bool
 	T    bool
-	// Data space.
-	Mem []uint16
+	// Data space, shared with the simulator under a mixed-mode runner;
+	// read and written through Word and SetWord.
+	mem *Memory
 
 	User *codefile.File
 	Lib  *codefile.File // may be nil
@@ -119,22 +120,37 @@ type Machine struct {
 	PGO *pgo.Capture
 }
 
+// Memory is the TNS data space as big-endian bytes: word w is bytes 2w
+// (high) and 2w+1, and a TNS byte address indexes it directly. This is
+// the simulators' data-memory layout, so the interpreter and translated
+// code can run over one image.
+type Memory [2 * tns.DataWords]byte
+
 // New creates a machine with the user codefile (and optional library)
 // loaded: globals initialized from the data image, L and S placed above the
 // globals, and P at the main procedure with a halt-sentinel stack marker.
 func New(user, lib *codefile.File) *Machine {
+	return NewOn(new(Memory), user, lib)
+}
+
+// NewOn is New over a caller-supplied, zeroed data space; a mixed-mode
+// runner passes the data-space prefix of its simulator's memory.
+func NewOn(mem *Memory, user, lib *codefile.File) *Machine {
 	m := &Machine{
-		Mem:  make([]uint16, tns.DataWords),
+		mem:  mem,
 		User: user,
 		Lib:  lib,
 		RP:   tns.RPEmpty,
 	}
-	for _, seg := range user.Data {
-		copy(m.Mem[seg.Addr:], seg.Words)
-	}
-	if lib != nil {
-		for _, seg := range lib.Data {
-			copy(m.Mem[seg.Addr:], seg.Words)
+	for _, f := range []*codefile.File{user, lib} {
+		if f == nil {
+			continue
+		}
+		for _, seg := range f.Data {
+			// A segment running past the data space is truncated.
+			for i, w := range seg.Words[:min(len(seg.Words), tns.DataWords-int(seg.Addr))] {
+				m.SetWord(seg.Addr+uint16(i), w)
+			}
 		}
 	}
 	base := user.GlobalWords + initialMargin
@@ -204,8 +220,31 @@ func (m *Machine) top() uint16 { return m.R[m.RP] }
 
 func (m *Machine) setTop(v uint16) { m.R[m.RP] = v }
 
+// Memory returns the data space the machine runs over.
+func (m *Machine) Memory() *Memory { return m.mem }
+
+// Rebind copies the data space into mem and makes mem the machine's data
+// space from now on.
+func (m *Machine) Rebind(mem *Memory) {
+	*mem = *m.mem
+	m.mem = mem
+}
+
+// Word reads data word addr.
+func (m *Machine) Word(addr uint16) uint16 {
+	i := uint32(addr) << 1
+	return uint16(m.mem[i])<<8 | uint16(m.mem[i+1])
+}
+
+// SetWord writes data word addr without tracing (host access).
+func (m *Machine) SetWord(addr, v uint16) {
+	i := uint32(addr) << 1
+	m.mem[i] = byte(v >> 8)
+	m.mem[i+1] = byte(v)
+}
+
 func (m *Machine) store(addr, v uint16) {
-	m.Mem[addr] = v
+	m.SetWord(addr, v)
 	if m.StoreTrace != nil {
 		m.StoreTrace(addr, v)
 	}
@@ -329,7 +368,7 @@ func (m *Machine) effAddr(in tns.Instr) uint16 {
 	}
 	ea := base + disp
 	if in.Ind {
-		ea = m.Mem[ea]
+		ea = m.Word(ea)
 	}
 	if in.Idx {
 		ea += m.pop()
@@ -359,7 +398,7 @@ func (m *Machine) effByteAddr(in tns.Instr) uint16 {
 	wa := base + disp
 	var ba uint16
 	if in.Ind {
-		ba = m.Mem[wa]
+		ba = m.Word(wa)
 	} else {
 		ba = wa * 2
 	}
@@ -369,29 +408,21 @@ func (m *Machine) effByteAddr(in tns.Instr) uint16 {
 	return ba
 }
 
-func (m *Machine) loadByte(ba uint16) uint16 {
-	wd := m.Mem[ba>>1]
-	if ba&1 == 0 {
-		return wd >> 8
-	}
-	return wd & 0xFF
-}
+func (m *Machine) loadByte(ba uint16) uint16 { return uint16(m.mem[ba]) }
 
+// storeByte writes one byte; a store trace sees the containing word.
 func (m *Machine) storeByte(ba uint16, v uint8) {
-	wd := m.Mem[ba>>1]
-	if ba&1 == 0 {
-		wd = uint16(v)<<8 | wd&0x00FF
-	} else {
-		wd = wd&0xFF00 | uint16(v)
+	m.mem[ba] = v
+	if m.StoreTrace != nil {
+		m.StoreTrace(ba>>1, m.Word(ba>>1))
 	}
-	m.store(ba>>1, wd)
 }
 
 func (m *Machine) memOp(in tns.Instr) {
 	switch in.Major {
 	case tns.MajLoad:
 		ea := m.effAddr(in)
-		v := m.Mem[ea]
+		v := m.Word(ea)
 		m.push(v)
 		m.setCC(int16(v))
 	case tns.MajStor:
@@ -410,9 +441,10 @@ func (m *Machine) memOp(in tns.Instr) {
 		m.storeByte(ba, uint8(m.pop()))
 	case tns.MajLdd:
 		ea := m.effAddr(in)
-		m.push(m.Mem[ea])   // high word, deeper
-		m.push(m.Mem[ea+1]) // low word, on top
-		m.setCC32(int32(uint32(m.Mem[ea])<<16 | uint32(m.Mem[ea+1])))
+		hi, lo := m.Word(ea), m.Word(ea+1)
+		m.push(hi) // high word, deeper
+		m.push(lo) // low word, on top
+		m.setCC32(int32(uint32(hi)<<16 | uint32(lo)))
 	case tns.MajStd:
 		ea := m.effAddr(in)
 		lo := m.pop()
@@ -475,7 +507,7 @@ func (m *Machine) call(space Space, pep uint16, pc uint16) TransferKind {
 		m.trap(tns.TrapBadPEP)
 		return TransferNone
 	}
-	if int(m.S)+tns.MarkerWords+32 >= len(m.Mem) {
+	if int(m.S)+tns.MarkerWords+32 >= tns.DataWords {
 		m.trap(tns.TrapStackOvf)
 		return TransferNone
 	}
@@ -493,9 +525,9 @@ func (m *Machine) call(space Space, pep uint16, pc uint16) TransferKind {
 }
 
 func (m *Machine) exit(args uint16) TransferKind {
-	retP := m.Mem[m.L-2]
-	env := m.Mem[m.L-1]
-	oldL := m.Mem[m.L]
+	retP := m.Word(m.L - 2)
+	env := m.Word(m.L - 1)
+	oldL := m.Word(m.L)
 	m.S = m.L - tns.MarkerWords - args
 	m.L = oldL
 	m.Space = UnpackENVSpace(env)
@@ -548,7 +580,7 @@ func (m *Machine) specialOp(in tns.Instr, pc uint16) TransferKind {
 		m.RP = in.Operand & 7
 	case tns.SubADDS:
 		m.S += uint16(int16(int8(in.Operand)))
-		if int(m.S)+32 >= len(m.Mem) {
+		if int(m.S)+32 >= tns.DataWords {
 			m.trap(tns.TrapStackOvf)
 		}
 	case tns.SubSVC:
@@ -577,50 +609,41 @@ func (m *Machine) specialOp(in tns.Instr, pc uint16) TransferKind {
 		m.setCC(int16(v))
 	case tns.SubLDE:
 		a := m.pop32()
-		if a>>1 >= tns.DataWords {
+		if a >= 2*tns.DataWords {
 			m.trap(tns.TrapAddress)
 			return TransferNone
 		}
-		v := m.Mem[a>>1]
+		v := m.Word(uint16(a >> 1))
 		m.push(v)
 		m.setCC(int16(v))
 	case tns.SubSTE:
 		a := m.pop32()
 		v := m.pop()
-		if a>>1 >= tns.DataWords {
+		if a >= 2*tns.DataWords {
 			m.trap(tns.TrapAddress)
 			return TransferNone
 		}
 		m.store(uint16(a>>1), v)
 	case tns.SubLDBE:
 		a := m.pop32()
-		if a>>1 >= tns.DataWords {
+		if a >= 2*tns.DataWords {
 			m.trap(tns.TrapAddress)
 			return TransferNone
 		}
-		wd := m.Mem[a>>1]
-		var v uint16
-		if a&1 == 0 {
-			v = wd >> 8
-		} else {
-			v = wd & 0xFF
-		}
+		v := uint16(m.mem[a])
 		m.push(v)
 		m.setCC(int16(v))
 	case tns.SubSTBE:
 		a := m.pop32()
 		v := m.pop()
-		if a>>1 >= tns.DataWords {
+		if a >= 2*tns.DataWords {
 			m.trap(tns.TrapAddress)
 			return TransferNone
 		}
-		wd := m.Mem[a>>1]
-		if a&1 == 0 {
-			wd = uint16(uint8(v))<<8 | wd&0x00FF
-		} else {
-			wd = wd&0xFF00 | uint16(uint8(v))
+		m.mem[a] = uint8(v)
+		if m.StoreTrace != nil {
+			m.StoreTrace(uint16(a>>1), m.Word(uint16(a>>1)))
 		}
-		m.store(uint16(a>>1), wd)
 	case tns.SubLGA:
 		m.push(uint16(in.Operand))
 	case tns.SubLLA:
@@ -636,7 +659,7 @@ func (m *Machine) specialOp(in tns.Instr, pc uint16) TransferKind {
 	case tns.SubADM:
 		addr := m.pop()
 		v := m.pop()
-		old := m.Mem[addr]
+		old := m.Word(addr)
 		sum, k, ovf := add16(old, v)
 		m.store(addr, sum)
 		m.K = k

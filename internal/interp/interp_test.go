@@ -58,7 +58,7 @@ ENDPROC
 `)
 	want := []int16{12, 2, 35, 9, 2, -7}
 	for i, w := range want {
-		if got := int16(m.Mem[i]); got != w {
+		if got := int16(m.Word(uint16(i))); got != w {
 			t.Errorf("G+%d = %d, want %d", i, got, w)
 		}
 	}
@@ -101,7 +101,7 @@ ENDPROC
 `)
 	want := []int16{8, 14, 6, -1, 16, -4, 15, 3}
 	for i, w := range want {
-		if got := int16(m.Mem[i]); got != w {
+		if got := int16(m.Word(uint16(i))); got != w {
 			t.Errorf("G+%d = %d, want %d", i, got, w)
 		}
 	}
@@ -135,7 +135,7 @@ ENDPROC
 `)
 	want := []int16{1234, 6, 1, 2, 18}
 	for i, w := range want {
-		if got := int16(m.Mem[i]); got != w {
+		if got := int16(m.Word(uint16(i))); got != w {
 			t.Errorf("G+%d = %d, want %d", i, got, w)
 		}
 	}
@@ -158,8 +158,8 @@ PROC main
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 100 || m.Mem[2] != 100 {
-		t.Errorf("direct/indirect loads: %v", m.Mem[:4])
+	if m.Word(0) != 100 || m.Word(2) != 100 {
+		t.Errorf("direct/indirect loads: %v", words(m, 4))
 	}
 }
 
@@ -180,11 +180,11 @@ PROC main
   EXIT 0
 ENDPROC
 `)
-	if int16(m.Mem[0]) != 102 {
-		t.Errorf("indexed load = %d, want 102", int16(m.Mem[0]))
+	if int16(m.Word(0)) != 102 {
+		t.Errorf("indexed load = %d, want 102", int16(m.Word(0)))
 	}
-	if int16(m.Mem[1]) != 55 {
-		t.Errorf("indexed store: G+11 = %d, want 55", int16(m.Mem[1]))
+	if int16(m.Word(1)) != 55 {
+		t.Errorf("indexed store: G+11 = %d, want 55", int16(m.Word(1)))
 	}
 }
 
@@ -214,14 +214,14 @@ PROC main
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[2] != 0x41 || m.Mem[3] != 0x44 {
-		t.Errorf("byte loads = %x,%x", m.Mem[2], m.Mem[3])
+	if m.Word(2) != 0x41 || m.Word(3) != 0x44 {
+		t.Errorf("byte loads = %x,%x", m.Word(2), m.Word(3))
 	}
-	if m.Mem[4] != 0x415A {
-		t.Errorf("byte store result = %04x, want 415A", m.Mem[4])
+	if m.Word(4) != 0x415A {
+		t.Errorf("byte store result = %04x, want 415A", m.Word(4))
 	}
-	if m.Mem[5] != 0x43 {
-		t.Errorf("direct LDB = %02x, want 43", m.Mem[5])
+	if m.Word(5) != 0x43 {
+		t.Errorf("direct LDB = %02x, want 43", m.Word(5))
 	}
 }
 
@@ -267,7 +267,7 @@ PROC main
 ENDPROC
 `)
 	get32 := func(i int) int32 {
-		return int32(uint32(m.Mem[i])<<16 | uint32(m.Mem[i+1]))
+		return int32(uint32(m.Word(uint16(i)))<<16 | uint32(m.Word(uint16(i+1))))
 	}
 	if get32(0) != 65636 {
 		t.Errorf("DADD = %d", get32(0))
@@ -318,8 +318,8 @@ done:
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 55 {
-		t.Errorf("sum = %d, want 55", m.Mem[0])
+	if m.Word(0) != 55 {
+		t.Errorf("sum = %d, want 55", m.Word(0))
 	}
 }
 
@@ -351,12 +351,12 @@ ENDPROC
 	for idx, want := range map[uint16]int16{0: 10, 1: 20, 2: 30, 3: -1, 500: -1} {
 		f := tnsasm.MustAssemble("case", src)
 		m := New(f, nil)
-		m.Mem[1] = idx
+		m.SetWord(1, idx)
 		if err := m.Run(1000); err != nil {
 			t.Fatal(err)
 		}
-		if int16(m.Mem[0]) != want {
-			t.Errorf("case %d -> %d, want %d", idx, int16(m.Mem[0]), want)
+		if int16(m.Word(0)) != want {
+			t.Errorf("case %d -> %d, want %d", idx, int16(m.Word(0)), want)
 		}
 	}
 }
@@ -399,8 +399,8 @@ PROC main
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 55 {
-		t.Errorf("fib(10) = %d, want 55", m.Mem[0])
+	if m.Word(0) != 55 {
+		t.Errorf("fib(10) = %d, want 55", m.Word(0))
 	}
 }
 
@@ -425,8 +425,8 @@ PROC main
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 42 {
-		t.Errorf("XCAL double(21) = %d, want 42", m.Mem[0])
+	if m.Word(0) != 42 {
+		t.Errorf("XCAL double(21) = %d, want 42", m.Word(0))
 	}
 }
 
@@ -461,8 +461,8 @@ PROC main
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 25 {
-		t.Errorf("addsq(3,4) = %d, want 25", m.Mem[0])
+	if m.Word(0) != 25 {
+		t.Errorf("addsq(3,4) = %d, want 25", m.Word(0))
 	}
 }
 
@@ -490,11 +490,11 @@ bad:
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 1 {
+	if m.Word(0) != 1 {
 		t.Error("MOVB copy then CMPB mismatch")
 	}
-	if m.Mem[16] != 0x6865 || m.Mem[17] != 0x6C6C {
-		t.Errorf("copied words: %04x %04x", m.Mem[16], m.Mem[17])
+	if m.Word(16) != 0x6865 || m.Word(17) != 0x6C6C {
+		t.Errorf("copied words: %04x %04x", m.Word(16), m.Word(17))
 	}
 }
 
@@ -514,8 +514,8 @@ PROC main
 ENDPROC
 `)
 	// Bytes were A B C D; copying 3 bytes src=0 dst=1 forward yields A A A A.
-	if m.Mem[4] != 0x4141 || m.Mem[5] != 0x4141 {
-		t.Errorf("smear: %04x %04x, want 4141 4141", m.Mem[4], m.Mem[5])
+	if m.Word(4) != 0x4141 || m.Word(5) != 0x4141 {
+		t.Errorf("smear: %04x %04x, want 4141 4141", m.Word(4), m.Word(5))
 	}
 }
 
@@ -538,8 +538,8 @@ found:
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 2 || m.Mem[1] != 1 {
-		t.Errorf("SCNB pos=%d found=%d", m.Mem[0], m.Mem[1])
+	if m.Word(0) != 2 || m.Word(1) != 1 {
+		t.Errorf("SCNB pos=%d found=%d", m.Word(0), m.Word(1))
 	}
 }
 
@@ -572,8 +572,8 @@ PROC main
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 1234 || m.Mem[1] != 77 || m.Mem[2] != 210 || m.Mem[3] != 0xFF00 {
-		t.Errorf("extended ops: %v", m.Mem[:4])
+	if m.Word(0) != 1234 || m.Word(1) != 77 || m.Word(2) != 210 || m.Word(3) != 0xFF00 {
+		t.Errorf("extended ops: %v", words(m, 4))
 	}
 }
 
@@ -592,8 +592,8 @@ PROC main
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[3] != 47 {
-		t.Errorf("ADM result = %d, want 47", m.Mem[3])
+	if m.Word(3) != 47 {
+		t.Errorf("ADM result = %d, want 47", m.Word(3))
 	}
 }
 
@@ -634,8 +634,8 @@ ENDPROC
 	if m2.Trap != tns.TrapNone {
 		t.Error("should not trap with T clear")
 	}
-	if int16(m2.Mem[0]) != -32768 {
-		t.Errorf("wrapped result = %d", int16(m2.Mem[0]))
+	if int16(m2.Word(0)) != -32768 {
+		t.Errorf("wrapped result = %d", int16(m2.Word(0)))
 	}
 }
 
@@ -721,8 +721,8 @@ ENDPROC
 	if err := m.Run(1000); err != nil {
 		t.Fatal(err)
 	}
-	if m.Mem[0] != 42 {
-		t.Errorf("lib_triple(14) = %d, want 42", m.Mem[0])
+	if m.Word(0) != 42 {
+		t.Errorf("lib_triple(14) = %d, want 42", m.Word(0))
 	}
 	if m.Space != SpaceUser {
 		t.Error("should return to user space")
@@ -767,7 +767,7 @@ big:
   EXIT 0
 ENDPROC
 `)
-	if m.Mem[0] != 1 {
+	if m.Word(0) != 1 {
 		t.Error("UCMP should compare unsigned")
 	}
 }
@@ -917,4 +917,13 @@ ENDPROC
 	if m.Trap != tns.TrapAddress {
 		t.Errorf("trap = %d, want address trap for 0x00020000", m.Trap)
 	}
+}
+
+// words returns the first n data words of m, for failure messages.
+func words(m *Machine, n int) []uint16 {
+	w := make([]uint16, n)
+	for i := range w {
+		w[i] = m.Word(uint16(i))
+	}
+	return w
 }

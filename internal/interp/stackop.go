@@ -230,11 +230,11 @@ func (m *Machine) movw() {
 	if n < 0 {
 		n = -n
 		for i := n - 1; i >= 0; i-- {
-			m.store(dst+uint16(i), m.Mem[src+uint16(i)])
+			m.store(dst+uint16(i), m.Word(src+uint16(i)))
 		}
 	} else {
 		for i := 0; i < n; i++ {
-			m.store(dst+uint16(i), m.Mem[src+uint16(i)])
+			m.store(dst+uint16(i), m.Word(src+uint16(i)))
 		}
 	}
 	m.Prof.LongUnits += int64(n)

@@ -35,6 +35,7 @@ package millicode
 import (
 	"sync"
 
+	"tnsr/internal/backend"
 	"tnsr/internal/risc"
 )
 
@@ -53,7 +54,7 @@ const (
 
 	// CodeWindow maps the RISC code space read-only into data addresses:
 	// code word i is a 32-bit load at CodeWindow + 4i.
-	CodeWindow = 0x01000000
+	CodeWindow = backend.CodeWindowBase
 
 	// MemBytes is the data-memory size the runtime image allocates.
 	MemBytes = 0x100000

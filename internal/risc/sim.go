@@ -83,11 +83,6 @@ func (c *cache) access(addr uint32) bool {
 	return false
 }
 
-// CodeWindowBase maps the code space read-only into the data address
-// space: a LW at CodeWindowBase+4i reads code word i (translated CASE
-// tables are stored in the code stream and read through this window).
-const CodeWindowBase = 0x01000000
-
 // Sim is the RISC processor simulator. Code is held separately from data
 // memory; PC values are word indexes into Code, and register-held code
 // addresses (for JR/JALR) are byte addresses, i.e. 4 times the word index.
@@ -144,12 +139,6 @@ func (s *Sim) ResumeAt(pc uint32) {
 	s.skipBP = true
 }
 
-func (s *Sim) trap(code int) {
-	s.Trap = code
-	s.TrapPC = s.PC
-	s.Stopped = true
-}
-
 // Run executes instructions until a BREAK, a trap, or the cycle budget is
 // exhausted (0 means unlimited). It returns an error only on runaway
 // execution past the budget.
@@ -176,7 +165,7 @@ func (s *Sim) step() {
 	}
 	s.skipBP = false
 	if int(pc) >= len(s.Code) {
-		s.trap(TrapBadInstr)
+		s.Raise(TrapBadInstr)
 		return
 	}
 	if s.icache != nil && !s.icache.access(pc<<2) {
@@ -224,7 +213,7 @@ func (s *Sim) step() {
 		a, b := R[in.Rs], R[in.Rt]
 		sum := a + b
 		if (a^sum)&(b^sum)&0x80000000 != 0 {
-			s.trap(TrapOverflow)
+			s.Raise(TrapOverflow)
 			return
 		}
 		R[in.Rd] = sum
@@ -234,7 +223,7 @@ func (s *Sim) step() {
 		a, b := R[in.Rs], R[in.Rt]
 		diff := a - b
 		if (a^b)&(a^diff)&0x80000000 != 0 {
-			s.trap(TrapOverflow)
+			s.Raise(TrapOverflow)
 			return
 		}
 		R[in.Rd] = diff
@@ -256,7 +245,7 @@ func (s *Sim) step() {
 		a, b := R[in.Rs], uint32(in.Imm)
 		sum := a + b
 		if (a^sum)&(b^sum)&0x80000000 != 0 {
-			s.trap(TrapOverflow)
+			s.Raise(TrapOverflow)
 			return
 		}
 		R[in.Rt] = sum
@@ -358,7 +347,7 @@ func (s *Sim) step() {
 		s.Stopped = true
 		return // PC stays at the BREAK for the host to inspect
 	default:
-		s.trap(TrapBadInstr)
+		s.Raise(TrapBadInstr)
 		return
 	}
 	R[0] = 0
@@ -389,46 +378,26 @@ func (s *Sim) dAccess(addr uint32) {
 
 func (s *Sim) load(in Instr) bool {
 	addr := s.Reg[in.Rs] + uint32(in.Imm)
-	var v uint32
+	var size uint32 = 4
 	switch in.Op {
 	case LB, LBU:
-		if int(addr) >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])
-		if in.Op == LB {
-			v = uint32(int32(int8(v)))
-		}
+		size = 1
 	case LH, LHU:
-		if addr&1 != 0 || int(addr)+1 >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])<<8 | uint32(s.Mem[addr+1])
-		if in.Op == LH {
-			v = uint32(int32(int16(v)))
-		}
-	case LW:
-		if addr >= CodeWindowBase {
-			idx := (addr - CodeWindowBase) >> 2
-			if addr&3 != 0 || int(idx) >= len(s.Code) {
-				s.trap(TrapAddress)
-				return false
-			}
-			v = s.Code[idx]
-			s.Reg[in.Rt] = v
-			s.loadReg = int(in.Rt)
-			return true
-		}
-		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		v = uint32(s.Mem[addr])<<24 | uint32(s.Mem[addr+1])<<16 |
-			uint32(s.Mem[addr+2])<<8 | uint32(s.Mem[addr+3])
+		size = 2
 	}
-	s.dAccess(addr)
+	v, ok := s.Load(addr, size)
+	if !ok {
+		return false
+	}
+	switch in.Op {
+	case LB:
+		v = uint32(int32(int8(v)))
+	case LH:
+		v = uint32(int32(int16(v)))
+	}
+	if addr < backend.CodeWindowBase {
+		s.dAccess(addr)
+	}
 	s.Reg[in.Rt] = v
 	s.loadReg = int(in.Rt)
 	return true
@@ -436,43 +405,15 @@ func (s *Sim) load(in Instr) bool {
 
 func (s *Sim) storeOp(in Instr) bool {
 	addr := s.Reg[in.Rs] + uint32(in.Imm)
-	if s.ProtectedHi > s.ProtectedLo && addr >= s.ProtectedLo && addr < s.ProtectedHi {
-		s.trap(TrapProtected)
-		return false
-	}
-	v := s.Reg[in.Rt]
+	var size uint32 = 4
 	switch in.Op {
 	case SB:
-		if int(addr) >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v)
-		if s.StoreTrace != nil {
-			// Report the containing halfword so byte stores compare
-			// against the interpreter's word-level trace.
-			ha := addr &^ 1
-			s.StoreTrace(ha, uint16(s.Mem[ha])<<8|uint16(s.Mem[ha+1]))
-		}
+		size = 1
 	case SH:
-		if addr&1 != 0 || int(addr)+1 >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v >> 8)
-		s.Mem[addr+1] = byte(v)
-		if s.StoreTrace != nil {
-			s.StoreTrace(addr, uint16(v))
-		}
-	case SW:
-		if addr&3 != 0 || int(addr)+3 >= len(s.Mem) {
-			s.trap(TrapAddress)
-			return false
-		}
-		s.Mem[addr] = byte(v >> 24)
-		s.Mem[addr+1] = byte(v >> 16)
-		s.Mem[addr+2] = byte(v >> 8)
-		s.Mem[addr+3] = byte(v)
+		size = 2
+	}
+	if !s.Store(addr, s.Reg[in.Rt], size) {
+		return false
 	}
 	s.dAccess(addr)
 	return true

@@ -41,7 +41,7 @@ END;
 `)
 	want := []int16{14, 20, -14, 14, 2, 7}
 	for i, w := range want {
-		if got := int16(m.Mem[i]); got != w {
+		if got := int16(m.Word(uint16(i))); got != w {
 			t.Errorf("global %d = %d, want %d", i, got, w)
 		}
 	}
@@ -64,11 +64,11 @@ BEGIN
   IF sum > 0 AND NOT (sum < 100) THEN big := big + 10;
 END;
 `)
-	if m.Mem[0] != 5050 {
-		t.Errorf("sum = %d", m.Mem[0])
+	if m.Word(0) != 5050 {
+		t.Errorf("sum = %d", m.Word(0))
 	}
-	if int16(m.Mem[2]) != 11 {
-		t.Errorf("big = %d, want 11", int16(m.Mem[2]))
+	if int16(m.Word(2)) != 11 {
+		t.Errorf("big = %d, want 11", int16(m.Word(2)))
 	}
 }
 
@@ -87,8 +87,8 @@ BEGIN
   FOR i := 9 DOWNTO 0 DO rev := rev * 2 + (arr[i] \ 2);
 END;
 `)
-	if m.Mem[10] != 285 {
-		t.Errorf("total = %d, want 285", m.Mem[10])
+	if m.Word(10) != 285 {
+		t.Errorf("total = %d, want 285", m.Word(10))
 	}
 }
 
@@ -105,8 +105,8 @@ BEGIN
   result := fib(12);
 END;
 `)
-	if m.Mem[0] != 144 {
-		t.Errorf("fib(12) = %d, want 144", m.Mem[0])
+	if m.Word(0) != 144 {
+		t.Errorf("fib(12) = %d, want 144", m.Word(0))
 	}
 }
 
@@ -127,8 +127,8 @@ BEGIN
   CALL swap(@x, @y);
 END;
 `)
-	if m.Mem[0] != 22 || m.Mem[1] != 11 {
-		t.Errorf("swap: x=%d y=%d", m.Mem[0], m.Mem[1])
+	if m.Word(0) != 22 || m.Word(1) != 11 {
+		t.Errorf("swap: x=%d y=%d", m.Word(0), m.Word(1))
 	}
 }
 
@@ -146,14 +146,14 @@ BEGIN
   out2 := p;
 END;
 `)
-	if m.Mem[5] != 30 {
-		t.Errorf("p[2] = %d", m.Mem[5])
+	if m.Word(5) != 30 {
+		t.Errorf("p[2] = %d", m.Word(5))
 	}
-	if m.Mem[3] != 99 {
-		t.Errorf("p[3] store: %d", m.Mem[3])
+	if m.Word(3) != 99 {
+		t.Errorf("p[3] store: %d", m.Word(3))
 	}
-	if m.Mem[6] != 50 {
-		t.Errorf("out2 = %d", m.Mem[6])
+	if m.Word(6) != 50 {
+		t.Errorf("out2 = %d", m.Word(6))
 	}
 }
 
@@ -169,7 +169,7 @@ BEGIN
 END;
 `)
 	get32 := func(i int) int32 {
-		return int32(uint32(m.Mem[i])<<16 | uint32(m.Mem[i+1]))
+		return int32(uint32(m.Word(uint16(i)))<<16 | uint32(m.Word(uint16(i+1))))
 	}
 	if get32(0) != 123456 {
 		t.Errorf("a = %d", get32(0))
@@ -180,8 +180,8 @@ END;
 	if get32(4) != 90000 {
 		t.Errorf("c = %d", get32(4))
 	}
-	if int16(m.Mem[6]) != 123 {
-		t.Errorf("narrow = %d", int16(m.Mem[6]))
+	if int16(m.Word(6)) != 123 {
+		t.Errorf("narrow = %d", int16(m.Word(6)))
 	}
 }
 
@@ -199,16 +199,16 @@ BEGIN
 END;
 `)
 	// src occupies 6 words at G+0, dst 6 at G+6, cmp at 12, pos 13, ch 14.
-	if m.Mem[12] != 0 {
-		t.Errorf("cmp = %d", int16(m.Mem[12]))
+	if m.Word(12) != 0 {
+		t.Errorf("cmp = %d", int16(m.Word(12)))
 	}
-	if m.Mem[13] != 4 {
-		t.Errorf("pos = %d, want 4", m.Mem[13])
+	if m.Word(13) != 4 {
+		t.Errorf("pos = %d, want 4", m.Word(13))
 	}
-	if m.Mem[14] != 'o' {
-		t.Errorf("ch = %d", m.Mem[14])
+	if m.Word(14) != 'o' {
+		t.Errorf("ch = %d", m.Word(14))
 	}
-	if m.Mem[6] != m.Mem[0] || m.Mem[8] != m.Mem[2] {
+	if m.Word(6) != m.Word(0) || m.Word(8) != m.Word(2) {
 		t.Error("MOVE did not copy")
 	}
 }
@@ -231,7 +231,7 @@ END;
 `)
 	want := []int16{100, 200, 300, -1, -1, -1}
 	for i, w := range want {
-		if got := int16(m.Mem[i]); got != w {
+		if got := int16(m.Word(uint16(i))); got != w {
 			t.Errorf("out[%d] = %d, want %d", i, got, w)
 		}
 	}
@@ -265,8 +265,8 @@ BEGIN
   b := size;
 END;
 `)
-	if m.Mem[0] != 12 || m.Mem[1] != 5 {
-		t.Errorf("literals: %d %d", m.Mem[0], m.Mem[1])
+	if m.Word(0) != 12 || m.Word(1) != 5 {
+		t.Errorf("literals: %d %d", m.Word(0), m.Word(1))
 	}
 }
 
@@ -283,11 +283,11 @@ BEGIN
   p[2] := 55;
 END;
 `)
-	if m.Mem[4] != 7 || m.Mem[5] != 10 {
-		t.Errorf("ext loads: %d %d", m.Mem[4], m.Mem[5])
+	if m.Word(4) != 7 || m.Word(5) != 10 {
+		t.Errorf("ext loads: %d %d", m.Word(4), m.Word(5))
 	}
-	if m.Mem[2] != 55 {
-		t.Errorf("ext store: %d", m.Mem[2])
+	if m.Word(2) != 55 {
+		t.Errorf("ext store: %d", m.Word(2))
 	}
 }
 
@@ -311,12 +311,12 @@ BEGIN
 END;
 `)
 	// add3(4, 19, 16) = 39; r1 = 1 + 78 = 79.
-	if int16(m.Mem[0]) != 79 {
-		t.Errorf("r1 = %d, want 79", int16(m.Mem[0]))
+	if int16(m.Word(0)) != 79 {
+		t.Errorf("r1 = %d, want 79", int16(m.Word(0)))
 	}
 	// sq(6) - add3(1,4,9) = 36 - 14 = 22.
-	if int16(m.Mem[1]) != 22 {
-		t.Errorf("r2 = %d, want 22", int16(m.Mem[1]))
+	if int16(m.Word(1)) != 22 {
+		t.Errorf("r2 = %d, want 22", int16(m.Word(1)))
 	}
 }
 
@@ -347,8 +347,8 @@ END;
 	if m.Trap != tns.TrapNone {
 		t.Fatalf("trap %d", m.Trap)
 	}
-	if m.Mem[0] != 42 {
-		t.Errorf("triple(14) = %d", m.Mem[0])
+	if m.Word(0) != 42 {
+		t.Errorf("triple(14) = %d", m.Word(0))
 	}
 }
 
@@ -420,14 +420,14 @@ BEGIN
   pad[250] := farr[9];
 END;
 `)
-	if m.Mem[300] != 1234 {
-		t.Errorf("far = %d", m.Mem[300])
+	if m.Word(300) != 1234 {
+		t.Errorf("far = %d", m.Word(300))
 	}
-	if m.Mem[301+9] != 1243 {
-		t.Errorf("farr[9] = %d", m.Mem[310])
+	if m.Word(301+9) != 1243 {
+		t.Errorf("farr[9] = %d", m.Word(310))
 	}
-	if m.Mem[250] != 1243 {
-		t.Errorf("pad[250] = %d", m.Mem[250])
+	if m.Word(250) != 1243 {
+		t.Errorf("pad[250] = %d", m.Word(250))
 	}
 }
 
@@ -444,11 +444,11 @@ END;
 `)
 	// TAL/TNS divide truncates toward zero; remainder keeps the dividend's
 	// sign (matching MIPS div and Go).
-	if int16(m.Mem[0]) != -3 || int16(m.Mem[1]) != -3 {
-		t.Errorf("quotients: %d %d", int16(m.Mem[0]), int16(m.Mem[1]))
+	if int16(m.Word(0)) != -3 || int16(m.Word(1)) != -3 {
+		t.Errorf("quotients: %d %d", int16(m.Word(0)), int16(m.Word(1)))
 	}
-	if int16(m.Mem[2]) != -1 || int16(m.Mem[3]) != 1 {
-		t.Errorf("remainders: %d %d", int16(m.Mem[2]), int16(m.Mem[3]))
+	if int16(m.Word(2)) != -1 || int16(m.Word(3)) != 1 {
+		t.Errorf("remainders: %d %d", int16(m.Word(2)), int16(m.Word(3)))
 	}
 }
 
@@ -467,8 +467,8 @@ BEGIN
     ELSE b := 2;
 END;
 `)
-	if m.Mem[0] != 2 || m.Mem[1] != 0 {
-		t.Errorf("a=%d b=%d, want 2 0", int16(m.Mem[0]), int16(m.Mem[1]))
+	if m.Word(0) != 2 || m.Word(1) != 0 {
+		t.Errorf("a=%d b=%d, want 2 0", int16(m.Word(0)), int16(m.Word(1)))
 	}
 }
 
@@ -486,8 +486,8 @@ BEGIN
   FOR i := 5 TO 4 DO s3 := s3 + 1;          ! empty range
 END;
 `)
-	if m.Mem[0] != 30 || m.Mem[1] != 22 || m.Mem[2] != 0 {
-		t.Errorf("s1=%d s2=%d s3=%d", m.Mem[0], m.Mem[1], m.Mem[2])
+	if m.Word(0) != 30 || m.Word(1) != 22 || m.Word(2) != 0 {
+		t.Errorf("s1=%d s2=%d s3=%d", m.Word(0), m.Word(1), m.Word(2))
 	}
 }
 
@@ -512,11 +512,11 @@ END;
 	// short-circuit evaluation would skip it in C. TAL shares this
 	// "conditions are expressions" behaviour for hoisted calls; the
 	// observable condition results are still correct.
-	if m.Mem[1] != 2 {
-		t.Errorf("taken = %d, want 2", int16(m.Mem[1]))
+	if m.Word(1) != 2 {
+		t.Errorf("taken = %d, want 2", int16(m.Word(1)))
 	}
-	if m.Mem[0] != 2 {
-		t.Errorf("calls = %d (hoisted calls always evaluate)", int16(m.Mem[0]))
+	if m.Word(0) != 2 {
+		t.Errorf("calls = %d (hoisted calls always evaluate)", int16(m.Word(0)))
 	}
 }
 
@@ -534,8 +534,8 @@ BEGIN
   END;
 END;
 `)
-	if m.Mem[0] != 7 {
-		t.Errorf("n = %d, want 7", m.Mem[0])
+	if m.Word(0) != 7 {
+		t.Errorf("n = %d, want 7", m.Word(0))
 	}
 }
 
@@ -549,8 +549,8 @@ BEGIN
 END;
 `)
 	for i := 0; i < 5; i++ {
-		if m.Mem[5+i] != uint16(i+1) {
-			t.Errorf("dst[%d] = %d", i, m.Mem[5+i])
+		if m.Word(uint16(5+i)) != uint16(i+1) {
+			t.Errorf("dst[%d] = %d", i, m.Word(uint16(5+i)))
 		}
 	}
 }
@@ -579,8 +579,8 @@ BEGIN
 END;
 `)
 	// buf occupies 5 words at G+0; ok at G+5.
-	if int16(m.Mem[5]) != 0 {
-		t.Errorf("ok = %d", int16(m.Mem[5]))
+	if int16(m.Word(5)) != 0 {
+		t.Errorf("ok = %d", int16(m.Word(5)))
 	}
 }
 
@@ -602,8 +602,8 @@ BEGIN
 END;
 `)
 	// i*7 in (10,100]: i in [2,14] -> 13 hits.
-	if m.Mem[0] != 13 {
-		t.Errorf("hits = %d, want 13", m.Mem[0])
+	if m.Word(0) != 13 {
+		t.Errorf("hits = %d, want 13", m.Word(0))
 	}
 }
 
@@ -621,8 +621,8 @@ BEGIN
   END;
 END;
 `)
-	if int16(m.Mem[0]) != 20 {
-		t.Errorf("out = %d", int16(m.Mem[0]))
+	if int16(m.Word(0)) != 20 {
+		t.Errorf("out = %d", int16(m.Word(0)))
 	}
 }
 

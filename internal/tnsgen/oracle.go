@@ -1,6 +1,7 @@
 package tnsgen
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -301,13 +302,14 @@ func compare(m *interp.Machine, r *xrun.Runner) error {
 	if m.Trap != 0 {
 		return nil // memory at trap time may legitimately differ midway
 	}
-	for i := range m.Mem {
-		if m.Mem[i] != r.Int.Mem[i] {
-			return fmt.Errorf("memory differs at word %d: interp=%04x accel=%04x",
-				i, m.Mem[i], r.Int.Mem[i])
+	if bytes.Equal(m.Memory()[:], r.Int.Memory()[:]) {
+		return nil
+	}
+	for i := uint16(0); ; i++ {
+		if a, b := m.Word(i), r.Int.Word(i); a != b {
+			return fmt.Errorf("memory differs at word %d: interp=%04x accel=%04x", i, a, b)
 		}
 	}
-	return nil
 }
 
 // checkAccounting enforces the telemetry invariants on an observed run:

@@ -57,9 +57,9 @@ BEGIN
   out3 := pop;
 END;
 `)
-	t.Logf("out: %d %d %d sp=%d\n", int16(m.Mem[64+1]), int16(m.Mem[64+2]), int16(m.Mem[64+3]), int16(m.Mem[64]))
-	if int16(m.Mem[65]) != 22 || int16(m.Mem[66]) != 11 || int16(m.Mem[67]) != -1 {
-		t.Errorf("push/pop broken: %d %d %d", int16(m.Mem[65]), int16(m.Mem[66]), int16(m.Mem[67]))
+	t.Logf("out: %d %d %d sp=%d\n", int16(m.Word(64+1)), int16(m.Word(64+2)), int16(m.Word(64+3)), int16(m.Word(64)))
+	if int16(m.Word(65)) != 22 || int16(m.Word(66)) != 11 || int16(m.Word(67)) != -1 {
+		t.Errorf("push/pop broken: %d %d %d", int16(m.Word(65)), int16(m.Word(66)), int16(m.Word(67)))
 	}
 }
 
@@ -94,8 +94,8 @@ BEGIN
   END;
 END;
 `)
-	if m.Mem[65] != 6 {
-		t.Errorf("count = %d, want 6", int16(m.Mem[65]))
+	if m.Word(65) != 6 {
+		t.Errorf("count = %d, want 6", int16(m.Word(65)))
 	}
 }
 
@@ -115,8 +115,8 @@ BEGIN
   out := k;
 END;
 `)
-	if m.Mem[0] != 45 {
-		t.Errorf("mod = %d, want 45", int16(m.Mem[0]))
+	if m.Word(0) != 45 {
+		t.Errorf("mod = %d, want 45", int16(m.Word(0)))
 	}
 }
 
@@ -129,18 +129,18 @@ func TestDebugAxcelState(t *testing.T) {
 	// Globals: image@0 kindtab@384 leaders@768 bhash@864 nlead@960
 	// stack@961 sp@1025 seed@1026 checksum@1027
 	t.Logf("nlead=%d sp=%d seed=%d checksum=%d\n",
-		int16(m.Mem[960]), int16(m.Mem[1025]), int16(m.Mem[1026]), int16(m.Mem[1027]))
+		int16(m.Word(960)), int16(m.Word(1025)), int16(m.Word(1026)), int16(m.Word(1027)))
 	t.Logf("image[0..7]: ")
 	for i := 0; i < 8; i++ {
-		t.Logf("%d ", int16(m.Mem[i]))
+		t.Logf("%d ", int16(m.Word(uint16(i))))
 	}
 	t.Logf("\nkindtab[0..7]: ")
 	for i := 0; i < 8; i++ {
-		t.Logf("%d ", int16(m.Mem[384+i]))
+		t.Logf("%d ", int16(m.Word(uint16(384+i))))
 	}
 	t.Logf("\nleaders[0..7]: ")
 	for i := 0; i < 8; i++ {
-		t.Logf("%d ", int16(m.Mem[768+i]))
+		t.Logf("%d ", int16(m.Word(uint16(768+i))))
 	}
 	t.Log("")
 }
@@ -177,9 +177,9 @@ BEGIN
   END;
 END;
 `)
-	t.Logf("nlead=%d leaders=%d,%d,%d\n", int16(m.Mem[10]), int16(m.Mem[0]), int16(m.Mem[1]), int16(m.Mem[2]))
-	if m.Mem[10] != 3 {
-		t.Errorf("nlead = %d, want 3", int16(m.Mem[10]))
+	t.Logf("nlead=%d leaders=%d,%d,%d\n", int16(m.Word(10)), int16(m.Word(0)), int16(m.Word(1)), int16(m.Word(2)))
+	if m.Word(10) != 3 {
+		t.Errorf("nlead = %d, want 3", int16(m.Word(10)))
 	}
 }
 
@@ -192,19 +192,19 @@ func TestDebugET1State(t *testing.T) {
 	// Lib: accts@0 tellers@800 branches@960 locks@1000 journal@1125
 	// jhead@1381 txseq@1382 workbuf@1383; user: seed@2048 checksum@2049 aborted@2050
 	t.Logf("console=%q txseq=%d jhead=%d seed=%d aborted=%d\n",
-		m.Console.String(), int16(m.Mem[1382]), int16(m.Mem[1381]),
-		int16(m.Mem[2048]), int16(m.Mem[2050]))
+		m.Console.String(), int16(m.Word(1382)), int16(m.Word(1381)),
+		int16(m.Word(2048)), int16(m.Word(2050)))
 	t.Logf("accts[0..9]: ")
 	for i := 0; i < 10; i++ {
-		t.Logf("%d ", int16(m.Mem[i]))
+		t.Logf("%d ", int16(m.Word(uint16(i))))
 	}
 	t.Logf("\nlocks[0..9]: ")
 	for i := 0; i < 10; i++ {
-		t.Logf("%d ", int16(m.Mem[1000+i]))
+		t.Logf("%d ", int16(m.Word(uint16(1000+i))))
 	}
 	t.Logf("\njournal[0..11]: ")
 	for i := 0; i < 12; i++ {
-		t.Logf("%d ", int16(m.Mem[1125+i]))
+		t.Logf("%d ", int16(m.Word(uint16(1125+i))))
 	}
 	t.Log("")
 }

@@ -4,13 +4,18 @@ import (
 	"strings"
 	"testing"
 
+	"tnsr/internal/backend"
+	"tnsr/internal/backend/mips"
+	"tnsr/internal/backend/ob0"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
+	"tnsr/internal/interp"
 	"tnsr/internal/millicode"
 	"tnsr/internal/obs"
 	"tnsr/internal/risc"
 	"tnsr/internal/tns"
 	"tnsr/internal/tnsasm"
+	"tnsr/internal/workloads"
 )
 
 // TestDegradedRunsInterpreted is the graceful-degradation contract: a
@@ -320,5 +325,98 @@ func TestBreakpointEscapeClassified(t *testing.T) {
 	}
 	if bps == 0 {
 		t.Error("no breakpoint escape recorded")
+	}
+}
+
+// TestRollbackRestoresDirtyMemory: a damaged fragment that writes the data
+// space before breaking with an unknown code — the caller's argument on the
+// stack, the loop counter global, and a byte on a page of its own — is
+// rolled back on every entry until its procedure is quarantined. The
+// abandoned stores must leave no trace: console, exit status and every
+// word of data memory equal a pure-interpreter run, on both backends.
+func TestRollbackRestoresDirtyMemory(t *testing.T) {
+	for _, be := range []backend.Backend{mips.Default, ob0.Default} {
+		t.Run(be.Name(), func(t *testing.T) {
+			f := tnsasm.MustAssemble("mix", mixProg)
+			opts := core.Options{
+				Level:       codefile.LevelDefault,
+				SelectProcs: map[string]bool{"addup": true},
+				Backend:     be,
+			}
+			if err := core.Accelerate(f, opts); err != nil {
+				t.Fatal(err)
+			}
+			r, err := New(f, nil, risc.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const t0 = backend.RegT0
+			ins := []backend.Inst{
+				{Op: backend.ADDIU, Rt: t0, Imm: 0x41},
+				{Op: backend.SH, Rs: backend.RegL, Rt: t0, Imm: -8}, // L-4: addup's first argument
+				{Op: backend.SH, Rt: t0, Imm: 2},                    // G+1: main's loop counter
+				{Op: backend.SB, Rt: t0, Imm: 0x601},                // a byte on data page 6
+				{Op: backend.BREAK, Code: 7},                        // no such break code exists
+			}
+			for i := range ins {
+				ins[i].Lbl, ins[i].JLbl, ins[i].LALbl = backend.NoLabel, backend.NoLabel, backend.NoLabel
+			}
+			enc, err := be.Encode(ins, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			patchEntry(t, r, "addup", enc.Code...)
+			if err := r.Run(10_000_000); err != nil {
+				t.Fatal(err)
+			}
+
+			m := interp.New(f, nil)
+			if err := m.Run(10_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if len(r.RollbackLog) != DefaultQuarantineThreshold {
+				t.Errorf("rollback log = %v, want %d rollbacks", r.RollbackLog, DefaultQuarantineThreshold)
+			}
+			if r.Console() != m.Console.String() || r.ExitStatus != m.ExitStatus ||
+				r.Halted != m.Halted || r.Trap != m.Trap {
+				t.Fatalf("runner console %q exit %d trap %d, interpreter console %q exit %d trap %d",
+					r.Console(), r.ExitStatus, r.Trap, m.Console.String(), m.ExitStatus, m.Trap)
+			}
+			for i := 0; i < tns.DataWords; i++ {
+				if m.Word(uint16(i)) != r.Int.Word(uint16(i)) {
+					t.Fatalf("memory differs at word %d: interp=%04x runner=%04x",
+						i, m.Word(uint16(i)), r.Int.Word(uint16(i)))
+				}
+			}
+		})
+	}
+}
+
+// TestDegradedReasonDeterministic: when both sections name unregistered
+// backends, the reason lists user before lib on every build, so reports
+// built from it are reproducible.
+func TestDegradedReasonDeterministic(t *testing.T) {
+	w := workloads.MustBuild("et1", 1)
+	if err := core.Accelerate(w.User, core.Options{
+		Level: codefile.LevelDefault, LibSummaries: w.LibSummaries,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.Accelerate(w.Lib, core.Options{
+		Level:    codefile.LevelDefault,
+		CodeBase: millicode.LibCodeBase, Space: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	w.User.Accel.BackendID, w.Lib.Accel.BackendID = 200, 201
+	const want = "user: xrun: unknown backend ID 200; lib: xrun: unknown backend ID 201"
+	for i := 0; i < 50; i++ {
+		r, err := New(w.User, w.Lib, risc.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.DegradedReason != want {
+			t.Fatalf("build %d: DegradedReason = %q, want %q", i, r.DegradedReason, want)
+		}
 	}
 }

@@ -98,9 +98,10 @@ type Runner struct {
 	quarTraps   map[uint32]int64 // quarKey -> rolled-back traps
 	quarantined map[uint32]bool  // quarKey -> demoted to interpreter-only
 
-	// Rollback anchor: the interpreter state at the last RISC entry is
-	// still live in r.Int (RISC episodes never write the interpreter),
-	// so abandoning an episode only needs these bookkeeping values.
+	// Rollback anchor: the interpreter's registers at the last RISC entry
+	// are still live in r.Int (a RISC episode writes only the shared data
+	// memory, whose pages r.Sim saves for undo), so abandoning an episode
+	// only needs these bookkeeping values.
 	entrySpace   interp.Space
 	entryAddr    uint16
 	entryProc    int // proc index containing entryAddr, -1 if unknown
@@ -151,7 +152,7 @@ func New(user, lib *codefile.File, cfg risc.Config) (*Runner, error) {
 	// different targets the library is dropped (one simulator drives
 	// both spaces). With no accelerated sections the MIPS default
 	// stands, timing-configured by cfg.
-	for space, i := range map[string]int{"user": 0, "lib": 1} {
+	for i, space := range spaceNames {
 		a := r.accel[i]
 		if a == nil {
 			continue
@@ -194,7 +195,9 @@ func New(user, lib *codefile.File, cfg risc.Config) (*Runner, error) {
 
 	r.sim = r.be.NewSim(code, millicode.MemBytes)
 	r.Sim = r.sim.Core()
-	r.Int = interp.New(user, lib)
+	// The interpreter runs over the data-space prefix of simulator memory:
+	// one image, so a mode switch moves registers only.
+	r.Int = interp.NewOn(dataSpace(r.Sim), user, lib)
 	r.Sim.OnSyscall = r.onSyscall
 
 	// Lay out the runtime tables.
@@ -227,12 +230,11 @@ func New(user, lib *codefile.File, cfg risc.Config) (*Runner, error) {
 	// structures the recovery path depends on.
 	r.Sim.ProtectedLo = millicode.PtrArea
 	r.Sim.ProtectedHi = next
-
-	// Mirror the interpreter's initial data image into RISC memory.
-	r.syncMemToSim()
-	r.inRISC = false
 	return r, nil
 }
+
+// dataSpace is the TNS data space within simulator memory.
+func dataSpace(s *backend.CPU) *interp.Memory { return (*interp.Memory)(s.Mem) }
 
 // Backend returns the target the runner resolved from the acceleration
 // sections' identity tags (the MIPS default when nothing is accelerated).
@@ -279,21 +281,6 @@ func packEMap(entries []int32) []byte {
 		out[i*4+3] = byte(v)
 	}
 	return out
-}
-
-// syncMemToSim copies the interpreter's data space into simulator memory.
-func (r *Runner) syncMemToSim() {
-	for i, w := range r.Int.Mem {
-		r.Sim.Mem[2*i] = byte(w >> 8)
-		r.Sim.Mem[2*i+1] = byte(w)
-	}
-}
-
-// syncMemToInt copies simulator data space back into the interpreter.
-func (r *Runner) syncMemToInt() {
-	for i := range r.Int.Mem {
-		r.Int.Mem[i] = uint16(r.Sim.Mem[2*i])<<8 | uint16(r.Sim.Mem[2*i+1])
-	}
 }
 
 // accelOf returns the verified acceleration section for a code space, or
@@ -350,6 +337,7 @@ func (r *Runner) enterRISCIfMapped() bool {
 	r.entryAddr = r.Int.P
 	r.entryProc = proc
 	r.entryConsole = r.Int.Console.Len()
+	r.Sim.Checkpoint()
 
 	r.loadSimFromInt()
 	r.sim.ResumeAt(uint32(idx))
@@ -362,9 +350,9 @@ func (r *Runner) enterRISCIfMapped() bool {
 	return true
 }
 
-// loadSimFromInt transfers architectural state interpreter -> simulator.
+// loadSimFromInt transfers the architectural registers interpreter ->
+// simulator; data memory is shared.
 func (r *Runner) loadSimFromInt() {
-	r.syncMemToSim()
 	m := r.Int
 	s := r.Sim
 	for i := 0; i < 8; i++ {
@@ -383,10 +371,10 @@ func packENV(m *interp.Machine) uint16 {
 	return interp.PackENV(m.RP, m.T, m.Space)
 }
 
-// loadIntFromSim transfers architectural state simulator -> interpreter,
-// resuming interpretation at TNS address p in the space given by $env.
+// loadIntFromSim transfers the architectural registers simulator ->
+// interpreter, resuming interpretation at TNS address p in the space given
+// by $env.
 func (r *Runner) loadIntFromSim(p uint16) {
-	r.syncMemToInt()
 	m := r.Int
 	s := r.Sim
 	for i := 0; i < 8; i++ {
@@ -520,7 +508,6 @@ func (r *Runner) runRISC(maxInstrs int64) error {
 		if r.Obs != nil {
 			r.Obs.Escape(uint8(space), r.TrapP, obs.EscapeTrap, false)
 		}
-		r.syncMemToInt()
 	case s.Trap != risc.TrapNone:
 		// Raw simulator trap: correct translated code stays inside the
 		// data space, so this is damage — corrupt RISC words, a fenced
@@ -538,11 +525,9 @@ func (r *Runner) runRISC(maxInstrs int64) error {
 		if r.Obs != nil {
 			r.Obs.Escape(uint8(r.Int.Space), 0, obs.EscapeTrap, false)
 		}
-		r.syncMemToInt()
 	case s.BreakCode == millicode.BreakHalt:
 		r.Halted = true
 		r.ExitStatus = r.Int.ExitStatus
-		r.syncMemToInt()
 	case s.BreakCode == millicode.BreakFallback:
 		p := uint16(s.Reg[risc.RegMT])
 		if r.FallbackAt == nil {
@@ -573,7 +558,6 @@ func (r *Runner) runRISC(maxInstrs int64) error {
 		if r.Obs != nil {
 			r.Obs.Escape(uint8(r.Int.Space), r.TrapP, obs.EscapeTrap, false)
 		}
-		r.syncMemToInt()
 	default:
 		if r.rollback(fmt.Sprintf("unexpected break %d at pc %d", s.BreakCode, s.PC)) {
 			return nil
@@ -584,12 +568,13 @@ func (r *Runner) runRISC(maxInstrs int64) error {
 }
 
 // rollback abandons the current RISC episode after an unexpected trap or
-// break. It is sound because the interpreter still holds the exact
-// architectural state from the episode's entry point: memory is copied
-// into the simulator at entry and the interpreter is never written during
-// RISC execution. The one irreversible side effect is console output
-// (onSyscall writes it directly), so an episode that already printed
-// cannot be re-run and rollback reports false.
+// break. It is sound because the episode's entry state is recoverable:
+// the interpreter's registers are not written during RISC execution, and
+// the simulator saved every data-space page the episode stored into
+// (Checkpoint at entry), so restoring those pages puts the shared data
+// memory back as it was. The one irreversible side effect is console
+// output (onSyscall writes it directly), so an episode that already
+// printed cannot be re-run and rollback reports false.
 //
 // Every rollback counts against the procedure the episode entered through
 // (the entry procedure, not the trapping PC: RISC-internal direct calls
@@ -622,8 +607,9 @@ func (r *Runner) rollback(detail string) bool {
 		r.Obs.Escape(uint8(r.entrySpace), r.entryAddr, obs.EscapeQuarantined, true)
 	}
 	// Discard the simulator episode; the interpreter resumes at the
-	// entry point (its state was never touched). Simulator data memory
-	// is re-mirrored on the next RISC entry.
+	// entry point with its registers untouched and the episode's stores
+	// undone.
+	r.Sim.Restore()
 	r.Sim.Cycles += SwitchPenalty
 	r.Switches++
 	r.Interludes++
@@ -725,12 +711,18 @@ func (r *Runner) onSyscall(s *backend.CPU, code uint32) {
 			m.Console.WriteByte(s.Mem[ba+i])
 		}
 	}
+	// Output makes the episode irreversible (rollback refuses it), so
+	// its later stores need no saving.
+	if m.Console.Len() != r.entryConsole {
+		s.DisarmUndo()
+	}
 }
 
 // AdoptInterpreter replaces the runner's interpreter with an existing
 // machine mid-execution (dynamic translation hands a running interpreted
 // program over to freshly translated code). The machine's memory becomes
-// authoritative.
+// authoritative: it is copied once into the runner's data space, which
+// the machine runs over from then on.
 func (r *Runner) AdoptInterpreter(m *interp.Machine) {
 	if r.Obs != nil {
 		m.Obs = r.Obs
@@ -740,7 +732,7 @@ func (r *Runner) AdoptInterpreter(m *interp.Machine) {
 	}
 	r.Int = m
 	r.Sim.OnSyscall = r.onSyscall
-	r.syncMemToSim()
+	m.Rebind(dataSpace(r.Sim))
 	r.inRISC = false
 }
 

@@ -8,6 +8,7 @@ import (
 	"tnsr/internal/interp"
 	"tnsr/internal/risc"
 	"tnsr/internal/tnsasm"
+	"tnsr/internal/workloads"
 )
 
 const mixProg = `
@@ -191,8 +192,8 @@ ENDPROC
 		t.Errorf("trap = %d, want divide-by-zero", r.Trap)
 	}
 	// Stores before the trap landed.
-	if r.Int.Mem[0] != 3 {
-		t.Errorf("store before trap lost: %d", r.Int.Mem[0])
+	if r.Int.Word(0) != 3 {
+		t.Errorf("store before trap lost: %d", r.Int.Word(0))
 	}
 }
 
@@ -264,4 +265,32 @@ func TestBreakpointRoundTrip(t *testing.T) {
 	if r.Console() != "15" {
 		t.Errorf("console after breakpoints = %q", r.Console())
 	}
+}
+
+// BenchmarkModeSwitch times one interpreter -> RISC -> interpreter round
+// trip (two mode switches, no instructions executed) on ET1 with only the
+// user code translated, the call-heavy partly translated shape whose runs
+// switch thousands of times.
+func BenchmarkModeSwitch(b *testing.B) {
+	w := workloads.MustBuild("et1", 1)
+	if err := core.Accelerate(w.User, core.Options{
+		Level: codefile.LevelDefault, LibSummaries: w.LibSummaries,
+	}); err != nil {
+		b.Fatal(err)
+	}
+	r, err := New(w.User, w.Lib, risc.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := r.Int.P
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !r.enterRISCIfMapped() {
+			b.Fatal("main entry is not register-exact")
+		}
+		r.loadIntFromSim(p)
+		r.inRISC = false
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N), "ns/switch")
 }
