@@ -43,7 +43,7 @@ func main() {
 	out := flag.String("out", "", "directory for failure scenario files")
 	libEvery := flag.Int("lib-every", 5, "every k-th program is a user+library pair (0 = never)")
 	chaosEvery := flag.Int("chaos-every", 0, "add a chaos pass to every k-th program (0 = never)")
-	adaptiveEvery := flag.Int("adaptive-every", 0, "add a RunAdaptive cycle to every k-th program (0 = never)")
+	adaptiveEvery := flag.Int("adaptive-every", 0, "add a RunAdaptiveOpts cycle to every k-th program (0 = never)")
 	workers := flag.Int("workers", 0, "translator worker count (0 = serial)")
 	backends := flag.String("backends", "",
 		"comma-separated RISC targets to run the oracle on (default: the default target)")

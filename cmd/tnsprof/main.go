@@ -14,7 +14,7 @@
 //
 //	tnsprof -emit-profile p.pgo.json dhry16
 //	    additionally run the observe -> retranslate -> rerun cycle
-//	    (xrun.RunAdaptive) and write the captured PGO profile; the printed
+//	    (xrun.RunAdaptiveOpts) and write the captured PGO profile; the printed
 //	    report is then the profile-fed second pass.
 //
 //	tnsprof -push http://host:9911 dhry16

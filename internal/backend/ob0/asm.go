@@ -2,108 +2,22 @@ package ob0
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"tnsr/internal/backend"
 )
 
 // Assemble translates ob0 assembly text into instruction words. It exists
-// for the hand-coded millicode routines and for tests, and mirrors the
-// risc assembler's syntax:
-//
-//	label:                     define a label (word index)
-//	op operands  ; comment     one instruction, operands comma-separated
-//	.word n                    a raw data word
-//
-// Operands use the shared register names of backend.RegName ($z, $r0..$r7,
-// $db, $l, $s, $cc, $k, $v, $env, $t0..$t13, $mt, $ra, or $N numeric).
-// Memory operands are "off(base)" where off may be a named constant.
-// Branch and jump targets are labels or absolute word indexes.
-// Pseudo-instructions: nop, move, li (32-bit constant), b (alias of ja),
-// not, neg. R-type mnemonics accept an immediate third operand and rewrite
-// to the immediate opcode (add -> addi, ior -> iori, lsl -> lsli, cmp ->
-// cmpi, ...).
-//
-// extern provides named constants (runtime table addresses) usable
-// wherever an immediate or li operand is expected.
+// for the hand-coded millicode routines and for tests. Labels, comments,
+// .word, register names, immediates, extern constants and "off(base)"
+// memory operands are the shared front end's (see backend.Asm), the same
+// as the risc assembler's. Branch and jump targets are labels or absolute
+// word indexes. Pseudo-instructions: nop, move, li (32-bit constant), b
+// (alias of ja), not, neg. R-type mnemonics accept an immediate third
+// operand and rewrite to the immediate opcode (add -> addi, ior -> iori,
+// lsl -> lsli, cmp -> cmpi, ...). The encoders panic on out-of-range
+// fields, which the front end reports as errors of the line.
 func Assemble(src string, extern map[string]uint32) ([]uint32, map[string]uint32, error) {
-	a := &oasm{labels: map[string]uint32{}, extern: extern}
-	// Pass 1: measure, collect labels.
-	if err := a.scan(src, false); err != nil {
-		return nil, nil, err
-	}
-	a.out = make([]uint32, 0, a.pc)
-	a.pc = 0
-	// Pass 2: emit.
-	if err := a.scan(src, true); err != nil {
-		return nil, nil, err
-	}
-	return a.out, a.labels, nil
-}
-
-// MustAssemble panics on error; for fixed millicode sources.
-func MustAssemble(src string, extern map[string]uint32) ([]uint32, map[string]uint32) {
-	code, labels, err := Assemble(src, extern)
-	if err != nil {
-		panic(err)
-	}
-	return code, labels
-}
-
-type oasm struct {
-	labels map[string]uint32
-	extern map[string]uint32
-	out    []uint32
-	pc     uint32
-	emit   bool
-}
-
-func (a *oasm) scan(src string, emit bool) error {
-	a.emit = emit
-	for ln, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		for {
-			i := strings.IndexByte(line, ':')
-			if i < 0 || strings.ContainsAny(line[:i], " \t(") {
-				break
-			}
-			if !emit {
-				if _, dup := a.labels[line[:i]]; dup {
-					return fmt.Errorf("line %d: duplicate label %q", ln+1, line[:i])
-				}
-				a.labels[line[:i]] = a.pc
-			}
-			line = strings.TrimSpace(line[i+1:])
-			if line == "" {
-				break
-			}
-		}
-		if line == "" {
-			continue
-		}
-		if err := a.instr(line); err != nil {
-			return fmt.Errorf("line %d: %w", ln+1, err)
-		}
-	}
-	return nil
-}
-
-func (a *oasm) put(w uint32) {
-	if a.emit {
-		a.out = append(a.out, w)
-	}
-	a.pc++
+	return backend.Assemble(src, extern, instr)
 }
 
 // rOps are the three-register mnemonics; immFor rewrites them when the
@@ -134,347 +48,98 @@ var brOps = map[string]Op{
 	"beq": BEQ, "bne": BNE, "blt": BLT, "bge": BGE, "ble": BLE, "bgt": BGT,
 }
 
-func (a *oasm) instr(line string) (err error) {
-	// The encoders panic on out-of-range fields (their callers inside the
-	// lowerer guarantee ranges), and a malformed line can underflow the
-	// operand list; surface both as positioned assembly errors rather than
-	// crashes. No word is emitted before the panic point, so the
-	// two-pass width accounting stays consistent on the error path.
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("%q: %v", line, p)
-		}
-	}()
-	fields := strings.Fields(line)
-	op := strings.ToLower(fields[0])
-	rest := strings.TrimSpace(line[len(fields[0]):])
-	ops := splitOperands(rest)
-	switch op {
-	case ".word":
-		v, err := a.imm(ops[0])
-		if err != nil {
-			return err
-		}
-		a.put(uint32(v))
-		return nil
-	case "nop":
-		a.put(Nop)
-		return nil
-	case "move":
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rb, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncR(ADD, ra, rb, backend.RegZero))
-		return nil
-	case "not":
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rb, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncR(NOR, ra, rb, backend.RegZero))
-		return nil
-	case "neg":
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rb, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncR(SUB, ra, backend.RegZero, rb))
-		return nil
-	case "li":
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		v, err := a.imm(ops[1])
-		if err != nil {
-			return err
-		}
-		a.emitLI(ra, uint32(v))
-		return nil
-	case "mvh":
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		a.put(EncR(MVH, ra, 0, 0))
-		return nil
-	case "mvhi":
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		v, err := a.imm(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncI(MVHI, ra, 0, int32(v)))
-		return nil
-	case "cmp":
-		rb, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		if !isReg(ops[1]) {
-			v, err := a.imm(ops[1])
-			if err != nil {
-				return err
-			}
-			a.put(EncI(CMPI, 0, rb, int32(v)))
-			return nil
-		}
-		rc, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncR(CMP, 0, rb, rc))
-		return nil
-	case "cmpi":
-		rb, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		v, err := a.imm(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncI(CMPI, 0, rb, int32(v)))
-		return nil
-	case "b", "ja", "jla":
-		t, err := a.imm(ops[0])
-		if err != nil {
-			return err
-		}
-		o := JA
-		if op == "jla" {
-			o = JLA
-		}
-		a.put(EncJ(o, uint32(t)))
-		return nil
-	case "jr":
-		rb, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		a.put(EncJR(rb))
-		return nil
-	case "jlr":
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rb, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncJLR(ra, rb))
-		return nil
-	case "brk", "svc":
-		var code int64
-		if len(ops) > 0 && ops[0] != "" {
-			v, err := a.imm(ops[0])
-			if err != nil {
-				return err
-			}
-			code = v
-		}
-		if op == "brk" {
-			a.put(EncBrk(uint32(code)))
-		} else {
-			a.put(EncSvc(uint32(code)))
-		}
-		return nil
-	}
-
+func instr(a *backend.Asm, op string, ops []string) error {
 	if o, ok := rOps[op]; ok {
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rb, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		if len(ops) == 3 && !isReg(ops[2]) {
-			imm, err := a.imm(ops[2])
-			if err != nil {
-				return err
-			}
+		ra, rb := a.Reg(ops[0]), a.Reg(ops[1])
+		if len(ops) == 3 && !backend.IsReg(ops[2]) {
+			imm := a.Imm(ops[2])
 			iop, ok := immFor[o]
 			if !ok {
 				return fmt.Errorf("%s does not take an immediate", op)
 			}
-			a.put(EncI(iop, ra, rb, int32(imm)))
+			a.Put(EncI(iop, ra, rb, int32(imm)))
 			return nil
 		}
-		rc, err := a.reg(ops[2])
-		if err != nil {
-			return err
-		}
-		a.put(EncR(o, ra, rb, rc))
+		a.Put(EncR(o, ra, rb, a.Reg(ops[2])))
 		return nil
 	}
 	if o, ok := iOps[op]; ok {
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rb, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		v, err := a.imm(ops[2])
-		if err != nil {
-			return err
-		}
-		a.put(EncI(o, ra, rb, int32(v)))
+		ra, rb := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncI(o, ra, rb, int32(a.Imm(ops[2]))))
 		return nil
 	}
 	if o, ok := memOps[op]; ok {
-		ra, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		off, base, err := a.memOperand(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncM(o, ra, base, off))
+		ra := a.Reg(ops[0])
+		off, base := a.Mem(ops[1])
+		a.Put(EncM(o, ra, base, off))
 		return nil
 	}
 	if o, ok := brOps[op]; ok {
-		disp, err := a.branchDisp(ops[0])
-		if err != nil {
-			return err
-		}
-		a.put(EncBr(o, disp))
+		a.Put(EncBr(o, a.BranchDisp(ops[0])))
 		return nil
 	}
-	return fmt.Errorf("unknown mnemonic %q", op)
+	switch op {
+	case "nop":
+		a.Put(Nop)
+	case "move":
+		ra, rb := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncR(ADD, ra, rb, backend.RegZero))
+	case "not":
+		ra, rb := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncR(NOR, ra, rb, backend.RegZero))
+	case "neg":
+		ra, rb := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncR(SUB, ra, backend.RegZero, rb))
+	case "li":
+		ra := a.Reg(ops[0])
+		emitLI(a, ra, uint32(a.Imm(ops[1])))
+	case "mvh":
+		a.Put(EncR(MVH, a.Reg(ops[0]), 0, 0))
+	case "mvhi":
+		ra := a.Reg(ops[0])
+		a.Put(EncI(MVHI, ra, 0, int32(a.Imm(ops[1]))))
+	case "cmp":
+		rb := a.Reg(ops[0])
+		if !backend.IsReg(ops[1]) {
+			a.Put(EncI(CMPI, 0, rb, int32(a.Imm(ops[1]))))
+		} else {
+			a.Put(EncR(CMP, 0, rb, a.Reg(ops[1])))
+		}
+	case "cmpi":
+		rb := a.Reg(ops[0])
+		a.Put(EncI(CMPI, 0, rb, int32(a.Imm(ops[1]))))
+	case "b", "ja":
+		a.Put(EncJ(JA, uint32(a.Imm(ops[0]))))
+	case "jla":
+		a.Put(EncJ(JLA, uint32(a.Imm(ops[0]))))
+	case "jr":
+		a.Put(EncJR(a.Reg(ops[0])))
+	case "jlr":
+		ra, rb := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncJLR(ra, rb))
+	case "brk":
+		a.Put(EncBrk(a.Code(ops)))
+	case "svc":
+		a.Put(EncSvc(a.Code(ops)))
+	default:
+		return fmt.Errorf("unknown mnemonic %q", op)
+	}
+	return nil
 }
 
 // emitLI loads a 32-bit constant with a deterministic width: one word for
 // values expressible by iori/addi, an mvhi(+iori) pair otherwise.
-func (a *oasm) emitLI(ra uint8, v uint32) {
+func emitLI(a *backend.Asm, ra uint8, v uint32) {
 	if v <= 0xFFFF {
-		a.put(EncI(IORI, ra, backend.RegZero, int32(v)))
+		a.Put(EncI(IORI, ra, backend.RegZero, int32(v)))
 		return
 	}
 	if int32(v) >= -32768 && int32(v) < 0 {
-		a.put(EncI(ADDI, ra, backend.RegZero, int32(v)))
+		a.Put(EncI(ADDI, ra, backend.RegZero, int32(v)))
 		return
 	}
-	a.put(EncI(MVHI, ra, 0, int32(v>>16)))
+	a.Put(EncI(MVHI, ra, 0, int32(v>>16)))
 	if v&0xFFFF != 0 {
-		a.put(EncI(IORI, ra, ra, int32(v&0xFFFF)))
+		a.Put(EncI(IORI, ra, ra, int32(v&0xFFFF)))
 	}
-}
-
-var regNames = func() map[string]uint8 {
-	m := map[string]uint8{}
-	for r := uint8(0); r < 32; r++ {
-		m[backend.RegName(r)] = r
-		m[fmt.Sprintf("$%d", r)] = r
-	}
-	return m
-}()
-
-func isReg(s string) bool {
-	_, ok := regNames[strings.ToLower(strings.TrimSpace(s))]
-	return ok
-}
-
-func (a *oasm) reg(s string) (uint8, error) {
-	r, ok := regNames[strings.ToLower(strings.TrimSpace(s))]
-	if !ok {
-		return 0, fmt.Errorf("bad register %q", s)
-	}
-	return r, nil
-}
-
-func (a *oasm) imm(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if v, ok := a.extern[s]; ok {
-		return int64(v), nil
-	}
-	if l, ok := a.labels[s]; ok {
-		return int64(l), nil
-	}
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg, s = true, s[1:]
-	}
-	var v int64
-	var err error
-	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		v, err = strconv.ParseInt(s[2:], 16, 64)
-	} else {
-		v, err = strconv.ParseInt(s, 10, 64)
-	}
-	if err != nil {
-		if !a.emit {
-			return 0, nil // labels may be forward references in pass 1
-		}
-		return 0, fmt.Errorf("bad immediate %q", s)
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
-}
-
-func (a *oasm) memOperand(s string) (int32, uint8, error) {
-	s = strings.TrimSpace(s)
-	i := strings.IndexByte(s, '(')
-	j := strings.IndexByte(s, ')')
-	if i < 0 || j < i {
-		return 0, 0, fmt.Errorf("bad memory operand %q", s)
-	}
-	off := int64(0)
-	if i > 0 {
-		v, err := a.imm(s[:i])
-		if err != nil {
-			return 0, 0, err
-		}
-		off = v
-	}
-	base, err := a.reg(s[i+1 : j])
-	if err != nil {
-		return 0, 0, err
-	}
-	return int32(off), base, nil
-}
-
-func (a *oasm) branchDisp(s string) (int32, error) {
-	t, err := a.imm(s)
-	if err != nil {
-		return 0, err
-	}
-	if !a.emit {
-		return 0, nil
-	}
-	return int32(t) - int32(a.pc) - 1, nil
-}
-
-func splitOperands(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -1,10 +1,6 @@
 package ob0
 
-import (
-	"sync"
-
-	"tnsr/internal/millicode"
-)
+import "tnsr/internal/millicode"
 
 // MilliSource is the ob0 port of the TNS/R millicode. The runtime contract
 // — memory layout, pointer area, BREAK/SYSCALL protocol, entry register
@@ -244,30 +240,9 @@ scnb_miss:
   jr    $ra
 `
 
+var milliImage = &millicode.Image{Source: MilliSource, Assemble: Assemble}
+
 // BuildMillicode assembles the ob0 millicode and returns its code words
 // plus the label map. Like millicode.Build it is memoized and returns
 // private copies.
-func BuildMillicode() ([]uint32, map[string]uint32) {
-	milliOnce.Do(func() {
-		milliCode, milliLabels = MustAssemble(MilliSource, map[string]uint32{
-			"PTRO_UPMAP_BASE": millicode.PtrUserPMapBase - millicode.PtrArea,
-			"PTRO_UPMAP_OFF":  millicode.PtrUserPMapOff - millicode.PtrArea,
-			"PTRO_LPMAP_BASE": millicode.PtrLibPMapBase - millicode.PtrArea,
-			"PTRO_LPMAP_OFF":  millicode.PtrLibPMapOff - millicode.PtrArea,
-			"PTRO_UEMAP":      millicode.PtrUserEMap - millicode.PtrArea,
-			"PTRO_LEMAP":      millicode.PtrLibEMap - millicode.PtrArea,
-		})
-	})
-	code := append([]uint32(nil), milliCode...)
-	labels := make(map[string]uint32, len(milliLabels))
-	for k, v := range milliLabels {
-		labels[k] = v
-	}
-	return code, labels
-}
-
-var (
-	milliOnce   sync.Once
-	milliCode   []uint32
-	milliLabels map[string]uint32
-)
+func BuildMillicode() ([]uint32, map[string]uint32) { return milliImage.Build() }

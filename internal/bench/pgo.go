@@ -62,7 +62,9 @@ func AdaptiveAdversarial(budget int64) (*xrun.AdaptiveResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return xrun.RunAdaptive(f, nil, nil, codefile.LevelDefault, 0, budget, CycloneRConfig())
+	return xrun.RunAdaptiveOpts(f, nil, xrun.AdaptiveOptions{
+		Level: codefile.LevelDefault, Budget: budget, Config: CycloneRConfig(),
+	})
 }
 
 // AdversarialProgram builds a fresh copy of the adversarial workload — the

@@ -14,7 +14,7 @@ import (
 // program (wrong XCAL result-size guesses, no hints) the observe ->
 // retranslate -> rerun cycle must drive rp-conflict escapes to ~zero and
 // measurably shrink interpreter residency, while both passes stay
-// observationally identical (RunAdaptive itself errors on divergence).
+// observationally identical (RunAdaptiveOpts itself errors on divergence).
 func TestRunAdaptiveAdversarial(t *testing.T) {
 	res, err := AdaptiveAdversarial(200_000_000)
 	if err != nil {

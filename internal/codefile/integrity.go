@@ -45,7 +45,7 @@ func (s SectionID) String() string {
 	return "invalid"
 }
 
-// SectionSpan locates one section inside a serialized v5 codefile:
+// SectionSpan locates one section inside a serialized codefile:
 // [Start, End) covers the payload plus its trailing 4-byte CRC-32, so the
 // payload is [Start, End-4) and the checksum [End-4, End). The chaos
 // mutators use spans to target (and, for the structural operators, repair)
@@ -89,7 +89,7 @@ func IsCorrupt(err error) bool {
 }
 
 // FixChecksum recomputes and rewrites the CRC-32 of the section span in a
-// serialized v5 codefile. It exists for the chaos harness: a mutation that
+// serialized codefile. It exists for the chaos harness: a mutation that
 // repairs its section's checksum slips past the load-time integrity layer
 // on purpose, to prove the deeper structural verification still catches it.
 func FixChecksum(data []byte, span SectionSpan) {

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"tnsr/internal/backend/ob0"
 	"tnsr/internal/codefile"
 	"tnsr/internal/core"
 	"tnsr/internal/millicode"
@@ -54,6 +55,51 @@ func TestMIPSBackendByteStable(t *testing.T) {
 		}
 	}
 
+	checkGolden(t, goldenPath, got)
+}
+
+// TestBackendImagesByteStable pins what TestMIPSBackendByteStable does not:
+// the assembled millicode image of each backend (words plus label map) and
+// the ob0 acceleration section for every workload, level and code space.
+// The MIPS and ob0 assemblers share one front end, so this is the proof
+// that neither target's output moved when that front end was extracted.
+//
+// Regenerate with GOLDEN_REGEN=1 under the same rules as above.
+func TestBackendImagesByteStable(t *testing.T) {
+	got := map[string]string{}
+	got["millicode/mips"] = milliContentHash(millicode.Build())
+	got["millicode/ob0"] = milliContentHash(ob0.BuildMillicode())
+	for _, name := range workloads.Names {
+		for _, lvl := range []codefile.AccelLevel{
+			codefile.LevelStmtDebug, codefile.LevelDefault, codefile.LevelFast,
+		} {
+			w, err := workloads.Build(name, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.Options{Level: lvl, LibSummaries: w.LibSummaries,
+				Backend: ob0.Default}
+			if err := core.Accelerate(w.User, opts); err != nil {
+				t.Fatalf("%s/%v: %v", name, lvl, err)
+			}
+			got[fmt.Sprintf("ob0/%s/%v/user", name, lvl)] = accelContentHash(w.User.Accel)
+			if w.Lib != nil {
+				libOpts := core.Options{Level: lvl, Backend: ob0.Default,
+					CodeBase: millicode.LibCodeBase, Space: 1}
+				if err := core.Accelerate(w.Lib, libOpts); err != nil {
+					t.Fatalf("%s/%v lib: %v", name, lvl, err)
+				}
+				got[fmt.Sprintf("ob0/%s/%v/lib", name, lvl)] = accelContentHash(w.Lib.Accel)
+			}
+		}
+	}
+	checkGolden(t, filepath.Join("testdata", "backend_golden.json"), got)
+}
+
+// checkGolden compares got against the JSON golden at path, or rewrites
+// the golden when GOLDEN_REGEN=1.
+func checkGolden(t *testing.T, goldenPath string, got map[string]string) {
+	t.Helper()
 	if os.Getenv("GOLDEN_REGEN") == "1" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -77,7 +123,7 @@ func TestMIPSBackendByteStable(t *testing.T) {
 	}
 	for key, wh := range want {
 		if got[key] != wh {
-			t.Errorf("%s: accel content hash changed: got %s want %s",
+			t.Errorf("%s: content hash changed: got %s want %s",
 				key, got[key], wh)
 		}
 	}
@@ -86,6 +132,24 @@ func TestMIPSBackendByteStable(t *testing.T) {
 			t.Errorf("%s: not in golden file (stale goldens?)", key)
 		}
 	}
+}
+
+// milliContentHash hashes a millicode image: its words, then its labels in
+// name order.
+func milliContentHash(code []uint32, labels map[string]uint32) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "code=%d\n", len(code))
+	binary.Write(h, binary.BigEndian, code)
+	names := make([]string, 0, len(labels))
+	for name := range labels {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	fmt.Fprintf(h, "labels=%d\n", len(names))
+	for _, name := range names {
+		fmt.Fprintf(h, "%s=%d\n", name, labels[name])
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // accelContentHash hashes every output-bearing field of an acceleration

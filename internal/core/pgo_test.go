@@ -181,10 +181,12 @@ ENDPROC
 // TestProfileConfirmsConflictJoin: pass 1 escapes at the conflicting join
 // every iteration; the captured RP lets pass 2 map the join with a run-time
 // guard, eliminating the escapes while both passes agree observationally
-// (RunAdaptive verifies that itself).
+// (RunAdaptiveOpts verifies that itself).
 func TestProfileConfirmsConflictJoin(t *testing.T) {
 	build := func() *codefile.File { return tnsasm.MustAssemble("conflict", conflictProg) }
-	res, err := xrun.RunAdaptive(build(), nil, nil, codefile.LevelDefault, 0, 1_000_000, risc.Config{})
+	res, err := xrun.RunAdaptiveOpts(build(), nil, xrun.AdaptiveOptions{
+		Level: codefile.LevelDefault, Budget: 1_000_000,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +202,7 @@ func TestProfileConfirmsConflictJoin(t *testing.T) {
 }
 
 // profiledDiffSweep is the profile-fed arm of the differential sweep: the
-// pure interpreter is the reference, and the two RunAdaptive passes (the
+// pure interpreter is the reference, and the two RunAdaptiveOpts passes (the
 // second translated with the pass-1 profile) must match it exactly.
 func profiledDiffSweep(t *testing.T, lvl codefile.AccelLevel,
 	build func() (*codefile.File, *codefile.File, map[uint16]int8)) {
@@ -211,8 +213,10 @@ func profiledDiffSweep(t *testing.T, lvl codefile.AccelLevel,
 	m.Run(30_000_000)
 
 	auser, alib, summaries := build()
-	res, err := xrun.RunAdaptive(auser, alib, summaries, lvl, 4, 200_000_000,
-		risc.Config{MulLatency: 12, DivLatency: 35})
+	res, err := xrun.RunAdaptiveOpts(auser, alib, xrun.AdaptiveOptions{
+		Level: lvl, Workers: 4, Budget: 200_000_000,
+		Config: risc.Config{MulLatency: 12, DivLatency: 35}, LibSummaries: summaries,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +240,7 @@ func profiledDiffSweep(t *testing.T, lvl codefile.AccelLevel,
 // TestDifferentialProfiledWorkloads re-runs the differential sweep with the
 // PGO loop engaged at every translation level: profile-fed translation must
 // be observationally identical to both the unprofiled translation (checked
-// inside RunAdaptive) and the pure interpreter (checked here).
+// inside RunAdaptiveOpts) and the pure interpreter (checked here).
 func TestDifferentialProfiledWorkloads(t *testing.T) {
 	for _, name := range workloads.Names {
 		for _, lvl := range levels {
@@ -263,8 +267,9 @@ func TestParallelDeterminismProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := xrun.RunAdaptive(w.User, w.Lib, w.LibSummaries,
-		codefile.LevelDefault, 0, 200_000_000, risc.Config{})
+	res, err := xrun.RunAdaptiveOpts(w.User, w.Lib, xrun.AdaptiveOptions{
+		Level: codefile.LevelDefault, Budget: 200_000_000, LibSummaries: w.LibSummaries,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@
 // hand-coded RISC assembly "millicode" routines the Accelerator calls for
 // complex or long-running TNS instructions — exactly the role the paper
 // assigns to millicode. The routines are written in the risc package's
-// assembly syntax and assembled at package init.
+// assembly syntax and assembled on first use (see Image).
 //
 // # Memory layout (RISC data space, byte addresses)
 //
@@ -33,6 +33,7 @@
 package millicode
 
 import (
+	"maps"
 	"sync"
 
 	"tnsr/internal/backend"
@@ -355,16 +356,30 @@ scnb_miss:
   ori   $cc, $z, 1
 `
 
-// Build assembles the millicode and returns its code words plus the label
-// map (word indexes relative to MilliBase, which is 0). The assembly is
-// memoized behind a sync.Once — the source is a compile-time constant, so
-// every build is identical — and each call returns private copies, so
-// callers may mutate their result freely. This keeps runner construction
-// cheap and concurrency-safe when a fleet host spins up thousands of
-// machines.
-func Build() ([]uint32, map[string]uint32) {
-	buildOnce.Do(func() {
-		builtCode, builtLabels = risc.MustAssemble(Source, map[string]uint32{
+// Image is one backend's millicode: its source and the assembler for its
+// instruction set. Every backend's source is a compile-time constant
+// assembled against the same pointer-area externs (PTRO_*: offsets of the
+// Ptr* slots from PtrArea), so an Image assembles once, on first use, and
+// hands out copies.
+type Image struct {
+	Source   string
+	Assemble func(src string, extern map[string]uint32) ([]uint32, map[string]uint32, error)
+
+	once   sync.Once
+	code   []uint32
+	labels map[string]uint32
+}
+
+// Build returns the image's code words plus its label map (word indexes
+// relative to MilliBase, which is 0). The assembly is memoized behind a
+// sync.Once and each call returns private copies, so callers may mutate
+// their result freely. This keeps runner construction cheap and
+// concurrency-safe when a fleet host spins up thousands of machines. It
+// panics if the source does not assemble.
+func (m *Image) Build() ([]uint32, map[string]uint32) {
+	m.once.Do(func() {
+		var err error
+		m.code, m.labels, err = m.Assemble(m.Source, map[string]uint32{
 			"PTRO_UPMAP_BASE": PtrUserPMapBase - PtrArea,
 			"PTRO_UPMAP_OFF":  PtrUserPMapOff - PtrArea,
 			"PTRO_LPMAP_BASE": PtrLibPMapBase - PtrArea,
@@ -372,17 +387,14 @@ func Build() ([]uint32, map[string]uint32) {
 			"PTRO_UEMAP":      PtrUserEMap - PtrArea,
 			"PTRO_LEMAP":      PtrLibEMap - PtrArea,
 		})
+		if err != nil {
+			panic(err)
+		}
 	})
-	code := append([]uint32(nil), builtCode...)
-	labels := make(map[string]uint32, len(builtLabels))
-	for k, v := range builtLabels {
-		labels[k] = v
-	}
-	return code, labels
+	return append([]uint32(nil), m.code...), maps.Clone(m.labels)
 }
 
-var (
-	buildOnce   sync.Once
-	builtCode   []uint32
-	builtLabels map[string]uint32
-)
+var mipsImage = &Image{Source: Source, Assemble: risc.Assemble}
+
+// Build assembles the MIPS millicode (see Image.Build).
+func Build() ([]uint32, map[string]uint32) { return mipsImage.Build() }

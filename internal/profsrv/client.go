@@ -14,7 +14,7 @@ import (
 )
 
 // Client talks to a tnsprofd daemon. It implements xrun.ProfileSource
-// (Fetch/Push), so a runner can hand it straight to RunAdaptive and the
+// (Fetch/Push), so a runner can hand it straight to RunAdaptiveOpts and the
 // fleet aggregate closes the hint-file loop across machines.
 //
 // Responses pass through the same strict parser uploads do: a server (or a

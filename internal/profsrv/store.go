@@ -3,7 +3,7 @@
 // and POST them to a tnsprofd daemon, which merges them order-independently
 // into one aggregate per codefile fingerprint, ages the aggregate across
 // runs so stale advice decays, and serves the current aggregate back to any
-// translator (axcel -profile-url, xrun.RunAdaptive with a remote source).
+// translator (axcel -profile-url, xrun.RunAdaptiveOpts with a remote source).
 //
 // The correctness story leans entirely on the pgo invariants: Merge is
 // order-independent and canonical, profiles are advisory to the translator

@@ -2,189 +2,27 @@ package risc
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+
+	"tnsr/internal/backend"
 )
 
 // Assemble translates RISC assembly text into instruction words. It exists
-// for the hand-coded millicode routines and for tests. Supported syntax:
-//
-//	label:                     define a label (word index)
-//	op operands  ; comment     one instruction, operands comma-separated
-//	.word n                    a raw data word
-//
-// Operands use the register names of RegName ($z, $r0..$r7, $db, $l, $s,
-// $cc, $k, $v, $env, $t0..$t13, $mt, $ra, or $N numeric). Memory operands
-// are "off(base)". Branch and jump targets are labels or absolute word
-// indexes. Pseudo-instructions: nop, move, li (32-bit constant via
-// lui/ori), b (branch always), not, neg.
-//
-// extern provides named constants (runtime table addresses) usable wherever
-// an immediate or li operand is expected.
+// for the hand-coded millicode routines and for tests. Labels, comments,
+// .word, register names, immediates, extern constants and "off(base)"
+// memory operands are the shared front end's (see backend.Asm). Branch and
+// jump targets are labels or absolute word indexes. Pseudo-instructions:
+// nop, move, li (32-bit constant via lui/ori), b (branch always), not, neg.
 func Assemble(src string, extern map[string]uint32) ([]uint32, map[string]uint32, error) {
-	a := &rasm{labels: map[string]uint32{}, extern: extern}
-	// Pass 1: measure, collect labels.
-	if err := a.scan(src, false); err != nil {
-		return nil, nil, err
-	}
-	a.out = make([]uint32, 0, a.pc)
-	a.pc = 0
-	// Pass 2: emit.
-	if err := a.scan(src, true); err != nil {
-		return nil, nil, err
-	}
-	return a.out, a.labels, nil
+	return backend.Assemble(src, extern, instr)
 }
 
-// MustAssemble panics on error; for fixed millicode sources.
-func MustAssemble(src string, extern map[string]uint32) ([]uint32, map[string]uint32) {
-	code, labels, err := Assemble(src, extern)
-	if err != nil {
-		panic(err)
-	}
-	return code, labels
-}
-
-type rasm struct {
-	labels map[string]uint32
-	extern map[string]uint32
-	out    []uint32
-	pc     uint32
-	emit   bool
-}
-
-func (a *rasm) scan(src string, emit bool) error {
-	a.emit = emit
-	for ln, raw := range strings.Split(src, "\n") {
-		line := raw
-		if i := strings.IndexByte(line, ';'); i >= 0 {
-			line = line[:i]
-		}
-		if i := strings.Index(line, "#"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		for {
-			i := strings.IndexByte(line, ':')
-			if i < 0 || strings.ContainsAny(line[:i], " \t(") {
-				break
-			}
-			if !emit {
-				if _, dup := a.labels[line[:i]]; dup {
-					return fmt.Errorf("line %d: duplicate label %q", ln+1, line[:i])
-				}
-				a.labels[line[:i]] = a.pc
-			}
-			line = strings.TrimSpace(line[i+1:])
-			if line == "" {
-				break
-			}
-		}
-		if line == "" {
-			continue
-		}
-		if err := a.instr(line); err != nil {
-			return fmt.Errorf("line %d: %w", ln+1, err)
-		}
-	}
-	return nil
-}
-
-func (a *rasm) put(w uint32) {
-	if a.emit {
-		a.out = append(a.out, w)
-	}
-	a.pc++
-}
-
-func (a *rasm) instr(line string) error {
-	fields := strings.Fields(line)
-	op := strings.ToLower(fields[0])
-	rest := strings.TrimSpace(line[len(fields[0]):])
-	ops := splitOperands(rest)
-	switch op {
-	case ".word":
-		v, err := a.imm(ops[0])
-		if err != nil {
-			return err
-		}
-		a.put(uint32(v))
-		return nil
-	case "nop":
-		a.put(NOP)
-		return nil
-	case "move":
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncALU(ADDU, rd, rs, RegZero))
-		return nil
-	case "not":
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncALU(NOR, rd, rs, RegZero))
-		return nil
-	case "neg":
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncALU(SUBU, rd, RegZero, rs))
-		return nil
-	case "li":
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		v, err := a.imm(ops[1])
-		if err != nil {
-			return err
-		}
-		a.emitLI(rd, uint32(v))
-		return nil
-	case "b":
-		disp, err := a.branchDisp(ops[0])
-		if err != nil {
-			return err
-		}
-		a.put(EncBranch(BEQ, RegZero, RegZero, disp))
-		return nil
-	}
-
+func instr(a *backend.Asm, op string, ops []string) error {
 	if o, ok := aluOps[op]; ok {
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		// Immediate forms are accepted for addu/and/or/xor/slt/sltu by
+		rd, rs := a.Reg(ops[0]), a.Reg(ops[1])
+		// Immediate forms are accepted for add/addu/and/or/xor/slt/sltu by
 		// rewriting to the immediate opcode.
-		if len(ops) == 3 && !isReg(ops[2]) {
-			imm, err := a.imm(ops[2])
-			if err != nil {
-				return err
-			}
+		if len(ops) == 3 && !backend.IsReg(ops[2]) {
+			imm := a.Imm(ops[2])
 			iop, ok := immFor[o]
 			if !ok {
 				return fmt.Errorf("%s does not take an immediate", op)
@@ -196,188 +34,96 @@ func (a *rasm) instr(line string) error {
 				(imm < -32768 || imm > 32767) {
 				return fmt.Errorf("%s immediate %d out of range", op, imm)
 			}
-			a.put(EncImm(iop, rd, rs, int32(imm)))
+			a.Put(EncImm(iop, rd, rs, int32(imm)))
 			return nil
 		}
-		rt, err := a.reg(ops[2])
-		if err != nil {
-			return err
-		}
+		rt := a.Reg(ops[2])
 		if o == SLLV || o == SRLV || o == SRAV {
 			// "sllv rd, rt, rs": value first, then shift-amount register.
-			a.put(EncALU(o, rd, rt, rs))
-			return nil
+			rs, rt = rt, rs
 		}
-		a.put(EncALU(o, rd, rs, rt))
+		a.Put(EncALU(o, rd, rs, rt))
 		return nil
 	}
 	if o, ok := immOps[op]; ok {
-		rt, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
+		rt := a.Reg(ops[0])
 		if o == LUI {
-			v, err := a.imm(ops[1])
-			if err != nil {
-				return err
-			}
-			a.put(EncImm(LUI, rt, 0, int32(v)))
+			a.Put(EncImm(LUI, rt, 0, int32(a.Imm(ops[1]))))
 			return nil
 		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		v, err := a.imm(ops[2])
-		if err != nil {
-			return err
-		}
-		a.put(EncImm(o, rt, rs, int32(v)))
+		rs := a.Reg(ops[1])
+		a.Put(EncImm(o, rt, rs, int32(a.Imm(ops[2]))))
 		return nil
 	}
 	if o, ok := shiftOps[op]; ok {
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rt, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		v, err := a.imm(ops[2])
-		if err != nil {
-			return err
-		}
-		a.put(EncShift(o, rd, rt, uint8(v)))
+		rd, rt := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncShift(o, rd, rt, uint8(a.Imm(ops[2]))))
 		return nil
 	}
 	if o, ok := memOps[op]; ok {
-		rt, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		off, base, err := a.memOperand(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncMem(o, rt, base, off))
+		rt := a.Reg(ops[0])
+		off, base := a.Mem(ops[1])
+		a.Put(EncMem(o, rt, base, off))
 		return nil
 	}
+	o := otherOps[op]
 	switch op {
+	case "nop":
+		a.Put(NOP)
+	case "move":
+		rd, rs := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncALU(ADDU, rd, rs, RegZero))
+	case "not":
+		rd, rs := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncALU(NOR, rd, rs, RegZero))
+	case "neg":
+		rd, rs := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncALU(SUBU, rd, RegZero, rs))
+	case "li":
+		rd := a.Reg(ops[0])
+		emitLI(a, rd, uint32(a.Imm(ops[1])))
+	case "b":
+		a.Put(EncBranch(BEQ, RegZero, RegZero, a.BranchDisp(ops[0])))
 	case "beq", "bne":
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rt, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		disp, err := a.branchDisp(ops[2])
-		if err != nil {
-			return err
-		}
-		o := BEQ
-		if op == "bne" {
-			o = BNE
-		}
-		a.put(EncBranch(o, rs, rt, disp))
-		return nil
+		rs, rt := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncBranch(o, rs, rt, a.BranchDisp(ops[2])))
 	case "blez", "bgtz", "bltz", "bgez":
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		disp, err := a.branchDisp(ops[1])
-		if err != nil {
-			return err
-		}
-		o := map[string]Op{"blez": BLEZ, "bgtz": BGTZ, "bltz": BLTZ, "bgez": BGEZ}[op]
-		a.put(EncBranch(o, rs, 0, disp))
-		return nil
+		rs := a.Reg(ops[0])
+		a.Put(EncBranch(o, rs, 0, a.BranchDisp(ops[1])))
 	case "j", "jal":
-		t, err := a.jumpTarget(ops[0])
-		if err != nil {
-			return err
-		}
-		o := J
-		if op == "jal" {
-			o = JAL
-		}
-		a.put(EncJ(o, t))
-		return nil
+		a.Put(EncJ(o, uint32(a.Imm(ops[0]))))
 	case "jr":
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		a.put(EncJR(rs))
-		return nil
+		a.Put(EncJR(a.Reg(ops[0])))
 	case "jalr":
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rs, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		a.put(EncJALR(rd, rs))
-		return nil
+		rd, rs := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncJALR(rd, rs))
 	case "mult", "multu", "div", "divu":
-		rs, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		rt, err := a.reg(ops[1])
-		if err != nil {
-			return err
-		}
-		o := map[string]Op{"mult": MULT, "multu": MULTU, "div": DIV, "divu": DIVU}[op]
-		a.put(EncMulDiv(o, rs, rt))
-		return nil
+		rs, rt := a.Reg(ops[0]), a.Reg(ops[1])
+		a.Put(EncMulDiv(o, rs, rt))
 	case "mfhi", "mflo":
-		rd, err := a.reg(ops[0])
-		if err != nil {
-			return err
-		}
-		o := MFHI
-		if op == "mflo" {
-			o = MFLO
-		}
-		a.put(EncMulDiv(o, rd, 0))
-		return nil
-	case "break", "syscall":
-		var code int64
-		if len(ops) > 0 && ops[0] != "" {
-			v, err := a.imm(ops[0])
-			if err != nil {
-				return err
-			}
-			code = v
-		}
-		if op == "break" {
-			a.put(EncBreak(uint32(code)))
-		} else {
-			a.put(EncSyscall(uint32(code)))
-		}
-		return nil
+		a.Put(EncMulDiv(o, a.Reg(ops[0]), 0))
+	case "break":
+		a.Put(EncBreak(a.Code(ops)))
+	case "syscall":
+		a.Put(EncSyscall(a.Code(ops)))
+	default:
+		return fmt.Errorf("unknown mnemonic %q", op)
 	}
-	return fmt.Errorf("unknown mnemonic %q", op)
+	return nil
 }
 
-func (a *rasm) emitLI(rd uint8, v uint32) {
+func emitLI(a *backend.Asm, rd uint8, v uint32) {
 	if v <= 0xFFFF {
-		a.put(EncImm(ORI, rd, RegZero, int32(v)))
+		a.Put(EncImm(ORI, rd, RegZero, int32(v)))
 		return
 	}
 	if int32(v) >= -32768 && int32(v) < 0 {
-		a.put(EncImm(ADDIU, rd, RegZero, int32(v)))
+		a.Put(EncImm(ADDIU, rd, RegZero, int32(v)))
 		return
 	}
-	a.put(EncImm(LUI, rd, 0, int32(v>>16)))
+	a.Put(EncImm(LUI, rd, 0, int32(v>>16)))
 	if v&0xFFFF != 0 {
-		a.put(EncImm(ORI, rd, rd, int32(v&0xFFFF)))
+		a.Put(EncImm(ORI, rd, rd, int32(v&0xFFFF)))
 	}
 }
 
@@ -404,107 +150,9 @@ var memOps = map[string]Op{
 	"sb": SB, "sh": SH, "sw": SW,
 }
 
-var regNames = func() map[string]uint8 {
-	m := map[string]uint8{}
-	for r := uint8(0); r < 32; r++ {
-		m[RegName(r)] = r
-		m[fmt.Sprintf("$%d", r)] = r
-	}
-	return m
-}()
-
-func isReg(s string) bool {
-	_, ok := regNames[strings.ToLower(strings.TrimSpace(s))]
-	return ok
-}
-
-func (a *rasm) reg(s string) (uint8, error) {
-	r, ok := regNames[strings.ToLower(strings.TrimSpace(s))]
-	if !ok {
-		return 0, fmt.Errorf("bad register %q", s)
-	}
-	return r, nil
-}
-
-func (a *rasm) imm(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if v, ok := a.extern[s]; ok {
-		return int64(v), nil
-	}
-	if l, ok := a.labels[s]; ok {
-		return int64(l), nil
-	}
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg, s = true, s[1:]
-	}
-	var v int64
-	var err error
-	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		v, err = strconv.ParseInt(s[2:], 16, 64)
-	} else {
-		v, err = strconv.ParseInt(s, 10, 64)
-	}
-	if err != nil {
-		if !a.emit {
-			return 0, nil // labels may be forward references in pass 1
-		}
-		return 0, fmt.Errorf("bad immediate %q", s)
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
-}
-
-func (a *rasm) memOperand(s string) (int32, uint8, error) {
-	s = strings.TrimSpace(s)
-	i := strings.IndexByte(s, '(')
-	j := strings.IndexByte(s, ')')
-	if i < 0 || j < i {
-		return 0, 0, fmt.Errorf("bad memory operand %q", s)
-	}
-	off := int64(0)
-	if i > 0 {
-		v, err := a.imm(s[:i])
-		if err != nil {
-			return 0, 0, err
-		}
-		off = v
-	}
-	base, err := a.reg(s[i+1 : j])
-	if err != nil {
-		return 0, 0, err
-	}
-	return int32(off), base, nil
-}
-
-func (a *rasm) branchDisp(s string) (int32, error) {
-	t, err := a.imm(s)
-	if err != nil {
-		return 0, err
-	}
-	if !a.emit {
-		return 0, nil
-	}
-	return int32(t) - int32(a.pc) - 1, nil
-}
-
-func (a *rasm) jumpTarget(s string) (uint32, error) {
-	t, err := a.imm(s)
-	if err != nil {
-		return 0, err
-	}
-	return uint32(t), nil
-}
-
-func splitOperands(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(p)
-		if p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
+// otherOps maps the remaining mnemonics that name one opcode.
+var otherOps = map[string]Op{
+	"beq": BEQ, "bne": BNE, "blez": BLEZ, "bgtz": BGTZ, "bltz": BLTZ, "bgez": BGEZ,
+	"j": J, "jal": JAL, "mult": MULT, "multu": MULTU, "div": DIV, "divu": DIVU,
+	"mfhi": MFHI, "mflo": MFLO,
 }

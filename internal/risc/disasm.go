@@ -6,14 +6,10 @@ import (
 	"tnsr/internal/backend"
 )
 
-// RegName returns the assembler name of a register under the Accelerator's
-// dedicated-register convention (shared across backends).
-func RegName(r uint8) string { return backend.RegName(r) }
-
 // Disassemble renders the instruction at word index pc.
 func Disassemble(pc uint32, w uint32) string {
 	in := Decode(w)
-	r := RegName
+	r := backend.RegName
 	switch in.Op {
 	case INVALID:
 		if w == NOP {

@@ -96,7 +96,7 @@ func TestSimArithmetic(t *testing.T) {
 	}
 	for r, v := range want {
 		if s.Reg[r] != v {
-			t.Errorf("%s = %d, want %d", RegName(r), s.Reg[r], v)
+			t.Errorf("%s = %d, want %d", backend.RegName(r), s.Reg[r], v)
 		}
 	}
 }
@@ -471,6 +471,11 @@ func TestAsmErrors(t *testing.T) {
 		"addu $t0, $qq, $t1",
 		"lw $t0, nope",
 		"dup: nop\ndup: nop",
+		"move $t0",
+		"lw $t0",
+		"beq $t0, $t1",
+		"li",
+		"sll $t0, $t1",
 	} {
 		if _, _, err := Assemble(src, nil); err == nil {
 			t.Errorf("expected error for %q", src)

@@ -1,5 +1,5 @@
 // Package tcache is the persistent retranslation cache: the read that
-// replaces a translation. RunAdaptive (and any repeated axcel invocation)
+// replaces a translation. RunAdaptiveOpts (and any repeated axcel invocation)
 // retranslates the same codefile under the same profile over and over; the
 // Accelerator is deterministic, so the pair (input fingerprint, every
 // output-affecting option — including the profile hash) fully determines

@@ -54,7 +54,7 @@ type OracleOptions struct {
 	// InterpBudget and RunBudget bound the reference and accelerated runs.
 	InterpBudget int64
 	RunBudget    int64
-	// Adaptive additionally runs the program through xrun.RunAdaptive
+	// Adaptive additionally runs the program through xrun.RunAdaptiveOpts
 	// (capture -> retranslate -> rerun) and requires identical output and
 	// no escape increase between the passes.
 	Adaptive bool
@@ -384,8 +384,10 @@ func (o *OracleOptions) adaptive(s *Subject, m *interp.Machine, res *Result) err
 	if err != nil {
 		return err
 	}
-	a, err := xrun.RunAdaptive(user, lib, libSummaries,
-		codefile.LevelDefault, o.Workers, o.RunBudget, simConfig())
+	a, err := xrun.RunAdaptiveOpts(user, lib, xrun.AdaptiveOptions{
+		Level: codefile.LevelDefault, Workers: o.Workers, Budget: o.RunBudget,
+		Config: simConfig(), LibSummaries: libSummaries,
+	})
 	if err != nil {
 		return err
 	}

@@ -46,7 +46,7 @@ type Campaign struct {
 	// program's oracle (0 = never).
 	ChaosEvery   int
 	ChaosMutants int
-	// AdaptiveEvery adds a RunAdaptive cycle to every k-th program's
+	// AdaptiveEvery adds a RunAdaptiveOpts cycle to every k-th program's
 	// oracle (0 = never).
 	AdaptiveEvery int
 

@@ -78,7 +78,7 @@ type Status struct {
 	// State is "queued", "running", "done" or "failed".
 	State string `json:"state"`
 	// Cached reports a submit that was answered entirely from the store.
-	Cached bool `json:"cached,omitempty"`
+	Cached bool   `json:"cached,omitempty"`
 	Error  string `json:"error,omitempty"`
 }
 

@@ -42,8 +42,9 @@ type ProfileSource interface {
 
 // AdaptiveOptions configures RunAdaptiveOpts.
 type AdaptiveOptions struct {
-	// Level, Workers, Budget, Config and LibSummaries mean exactly what
-	// the RunAdaptive parameters of the same names mean.
+	// Each pass translates at Level with Workers workers (against the
+	// library's LibSummaries) and runs on a simulator configured by
+	// Config under an instruction Budget.
 	Level        codefile.AccelLevel
 	Workers      int
 	Budget       int64
@@ -62,7 +63,7 @@ type AdaptiveOptions struct {
 	Cache *tcache.Cache
 }
 
-// AdaptiveResult reports a RunAdaptive cycle.
+// AdaptiveResult reports a RunAdaptiveOpts cycle.
 type AdaptiveResult struct {
 	// Profile is the pass-1 capture — the local machine's observations,
 	// and (without a Source) the profile that steered pass 2.
@@ -95,23 +96,11 @@ func (a *AdaptiveResult) InterpFractions() (first, second float64) {
 	return a.First.InterpFraction(), a.Second.InterpFraction()
 }
 
-// RunAdaptive executes the observe -> retranslate -> rerun cycle on fresh
-// copies of user/lib (the caller's codefiles are not modified). Each pass
-// translates at the given level with the given worker count and runs under
-// the given instruction budget. It errors if the two passes disagree on any
+// RunAdaptiveOpts executes the observe -> retranslate -> rerun cycle on
+// fresh copies of user/lib (the caller's codefiles are not modified), with
+// an optional remote profile source and an optional persistent
+// retranslation cache. It errors if the two passes disagree on any
 // observable outcome — the profile being advisory, they never should.
-func RunAdaptive(user, lib *codefile.File, libSummaries map[uint16]int8,
-	level codefile.AccelLevel, workers int, budget int64,
-	cfg risc.Config) (*AdaptiveResult, error) {
-
-	return RunAdaptiveOpts(user, lib, AdaptiveOptions{
-		Level: level, Workers: workers, Budget: budget,
-		Config: cfg, LibSummaries: libSummaries,
-	})
-}
-
-// RunAdaptiveOpts is RunAdaptive with the fleet knobs: an optional remote
-// profile source and an optional persistent retranslation cache.
 func RunAdaptiveOpts(user, lib *codefile.File, o AdaptiveOptions) (*AdaptiveResult, error) {
 	res := &AdaptiveResult{}
 	degrade := func(op string, err error) {

@@ -111,8 +111,9 @@ func TestSharedCodefileConcurrentAdaptive(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := RunAdaptive(w.User, w.Lib, w.LibSummaries,
-				0, 0, 50_000_000, risc.DefaultConfig())
+			res, err := RunAdaptiveOpts(w.User, w.Lib, AdaptiveOptions{
+				Budget: 50_000_000, Config: risc.DefaultConfig(), LibSummaries: w.LibSummaries,
+			})
 			if err != nil {
 				t.Error(err)
 				return
